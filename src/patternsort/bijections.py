@@ -410,9 +410,9 @@ def to_12321_avoider(
         if t == TripleIndex(0, 0, 0):
             break
         if prev is not None and not t < prev:
-            raise RuntimeError(f"triple {t} did not decrease below {prev}")
+            raise MalformedInputError(f"triple {t} did not decrease below {prev}")
         if len(steps) >= limit:
-            raise RuntimeError(f"swap loop exceeded {limit} steps")
+            raise MalformedInputError(f"swap loop exceeded {limit} steps")
         steps.append(t)
         prev = t
         r = _swap(r, t.i1, t.i2)
@@ -439,7 +439,7 @@ def to_12231_avoider(
         if t == sentinel:
             break
         if len(steps) >= limit:
-            raise RuntimeError(f"swap loop exceeded {limit} steps")
+            raise MalformedInputError(f"swap loop exceeded {limit} steps")
         steps.append(t)
         r = _swap(r, t.i1, t.i2)
     validate(r)

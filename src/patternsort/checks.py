@@ -14,6 +14,7 @@ from itertools import permutations
 from typing import Callable, NamedTuple
 
 from . import bijections, grid, machine, paths, rgf, sequences
+from .errors import InvalidInputError
 from .perms import (
     MU,
     Perm,
@@ -823,9 +824,9 @@ def check_names(scope: str = "all") -> list[str]:
 
 def run_checks(scope: str = "all", nmax: int = 6) -> list[CheckResult]:
     if scope != "all" and scope not in SCOPES:
-        raise ValueError(f"unknown scope {scope!r}")
+        raise InvalidInputError(f"unknown scope {scope!r}")
     if nmax < 1:
-        raise ValueError("nmax must be >= 1")
+        raise InvalidInputError(f"nmax must be >= 1, got {nmax}")
     results = []
     for name, s, fn in _REGISTRY:
         if scope != "all" and s != scope:

@@ -317,6 +317,8 @@ def _do_verify(args) -> tuple[str, int]:
 def _table_rows(args) -> tuple[str, list[tuple[int, int]], int]:
     kind = args.kind
     n = args.n
+    if n < 1:
+        raise InvalidInputError(f"--n must be >= 1, got {n}")
     status = 0
     if kind == "a007317":
         header = "n,value"

@@ -15,7 +15,15 @@ from itertools import permutations
 from typing import Iterable, NamedTuple
 
 from .errors import InvalidInputError, ResourceLimitError
-from .perms import Perm, _contains_231, _matches, as_perm, avoids, ltr_minima, standardize
+from .perms import (
+    Perm,
+    _contains_231,
+    as_perm,
+    avoids,
+    first_occurrence,
+    ltr_minima,
+    standardize,
+)
 
 DEFAULT_PERM_CAP = 10
 
@@ -55,25 +63,6 @@ class MachineTrace(NamedTuple):
         ]
 
 
-def _occurrence_from_head(word: tuple[int, ...], sigma: Perm) -> bool:
-    """Does word contain sigma with the first pattern letter at word[0]?"""
-    k = len(sigma)
-    if len(word) < k:
-        return False
-
-    def extend(chosen: list[int], start: int) -> bool:
-        if len(chosen) == k:
-            return True
-        for p in range(start, len(word)):
-            chosen.append(word[p])
-            if _matches(sigma[: len(chosen)], tuple(chosen)) and extend(chosen, p + 1):
-                return True
-            chosen.pop()
-        return False
-
-    return extend([word[0]], 1)
-
-
 def _generic_pass(pi: Perm, sigma: Perm) -> tuple[Perm, MachineTrace]:
     stack: list[int] = []  # bottom to top
     output: list[int] = []
@@ -85,7 +74,7 @@ def _generic_pass(pi: Perm, sigma: Perm) -> tuple[Perm, MachineTrace]:
     for x in pi:
         # the stack already avoids sigma, so a new occurrence must start
         # at the incoming element, which tops the top-to-bottom word
-        while stack and _occurrence_from_head((x,) + snap(), sigma):
+        while stack and first_occurrence((x,) + snap(), sigma, head=True) is not None:
             v = stack.pop()
             output.append(v)
             events.append(("POP", v, snap()))
@@ -192,7 +181,7 @@ def stack_shape_check(pi: Iterable[int], cap: int = DEFAULT_PERM_CAP) -> bool:
         raise InvalidInputError("shape law only applies to sortable permutations")
     minima = ltr_minima(p)
     min_positions = [pos for pos, _ in minima]
-    min_values = [val for _, val in minima]
+    min_values = tuple(val for _, val in minima)
     min_set = set(min_values)
 
     def block_of(q: int) -> int:
@@ -206,9 +195,12 @@ def stack_shape_check(pi: Iterable[int], cap: int = DEFAULT_PERM_CAP) -> bool:
         x: block_of(q) for q, x in enumerate(p, start=1) if x not in min_set
     }
 
-    stack: list[int] = []
-    for q, x in enumerate(p, start=1):
+    # the stack x meets is the one left by the previous PUSH, read bottom-to-top
+    _, trace = sigma_stack_pass(p, (1, 3, 2))
+    pushed = [snap for op, _, snap in trace.events if op == "PUSH"]
+    for q, (x, snap) in enumerate(zip(p, [()] + pushed), start=1):
         if x not in min_set:
+            stack = snap[::-1]
             i = block_of(q)
             floor = stack[:i]
             rest = stack[i:]
@@ -218,19 +210,6 @@ def stack_shape_check(pi: Iterable[int], cap: int = DEFAULT_PERM_CAP) -> bool:
                 return False
             if any(block_idx[v] != i for v in rest):
                 return False
-        # replay one machine step (same cut rule as the fast pass)
-        cut = -1
-        low = None
-        for j, v in enumerate(stack):
-            if v > x:
-                if low is not None and v > low:
-                    cut = j
-                    break
-                if low is None or v < low:
-                    low = v
-        if cut >= 0:
-            del stack[cut:]
-        stack.append(x)
     return True
 
 

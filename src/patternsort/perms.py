@@ -4,13 +4,18 @@ Permutations are tuples of the integers 1..n in one-line notation.  Pattern
 containment is classical: an occurrence of a pattern p in w is a set of
 positions of w whose entries are ordered the same way as p.  Mesh patterns
 refine this by forbidding host entries inside shaded boxes of the pattern's
-plot; see :class:`MeshPattern`.
+plot; see :class:`MeshPattern`.  Every generic containment test in the
+package, including the tie-aware one on words in :mod:`patternsort.rgf`,
+goes through the one backtracking search :func:`first_occurrence`; the
+pattern-specific scans at the end of this module are checked against it.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, NamedTuple
+from functools import lru_cache
+from math import inf
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidInputError
 
@@ -20,7 +25,10 @@ Perm = tuple[int, ...]
 def is_perm(w: Iterable[int]) -> bool:
     """True if w is a permutation of 1..n in one-line notation."""
     t = tuple(w)
-    return sorted(t) == list(range(1, len(t) + 1))
+    if sorted(t) != list(range(1, len(t) + 1)):
+        return False
+    # True == 1 is the one boolean that can pass the value test
+    return not t or t[t.index(1)] is not True
 
 
 def as_perm(w: Iterable[int]) -> Perm:
@@ -64,53 +72,87 @@ def standardize(vals: Iterable[int]) -> Perm:
     return tuple(rank[v] for v in t)
 
 
-def _matches(pattern: Perm, vals: tuple[int, ...]) -> bool:
-    # order-isomorphy via pairwise comparisons; vals entries are distinct
-    n = len(pattern)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (pattern[i] < pattern[j]) != (vals[i] < vals[j]):
-                return False
-    return True
+@lru_cache(maxsize=256)
+def _relations(pattern: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per pattern index d, the (earlier index, sign) pairs that pin letter d.
+
+    The sign is that of pattern[d] - pattern[e].  An equal earlier letter
+    pins letter d on its own; otherwise the nearest earlier letters below
+    and above do, since every other earlier letter is ordered the same way
+    against one of those two.
+    """
+    table = []
+    for d, x in enumerate(pattern):
+        earlier = pattern[:d]
+        if x in earlier:
+            table.append(((earlier.index(x), 0),))
+            continue
+        below = [e for e in range(d) if earlier[e] < x]
+        above = [e for e in range(d) if earlier[e] > x]
+        rel = []
+        if below:
+            rel.append((max(below, key=earlier.__getitem__), 1))
+        if above:
+            rel.append((min(above, key=earlier.__getitem__), -1))
+        table.append(tuple(rel))
+    return tuple(table)
 
 
-def _occurrences(w: Perm, pattern: Perm) -> Iterator[tuple[int, ...]]:
-    """Yield 0-based position tuples of occurrences of pattern in w, lex order."""
-    k = len(pattern)
-    n = len(w)
-    if k == 0:
-        yield ()
-        return
+def first_occurrence(
+    word: Sequence[int],
+    pattern: Sequence[int],
+    head: bool = False,
+    tail: bool = False,
+    accept: Callable[[tuple[int, ...]], bool] | None = None,
+) -> tuple[int, ...] | None:
+    """Lex-least 0-based positions of an occurrence of pattern in word, or None.
+
+    Matching is tie-aware: equal pattern letters map to equal letters of
+    word and strict order is kept, so one search serves permutations and
+    integer words alike.  ``head`` pins the first pattern letter to
+    word[0], ``tail`` pins the last one to word[-1], and ``accept`` may
+    veto a complete occurrence, in which case the search goes on.
+    """
+    rel = _relations(tuple(pattern))
+    k, n = len(rel), len(word)
     if k > n:
-        return
+        return None
+    chosen: list[int] = []
 
-    # backtracking in lex order over position tuples
-    stack: list[int] = []
+    def extend(start: int) -> bool:
+        depth = len(chosen)
+        if depth == k:
+            return accept is None or accept(tuple(chosen))
+        # letters are integers, so each relation tightens a closed interval
+        lo, hi = -inf, inf
+        for e, s in rel[depth]:
+            v = word[chosen[e]]
+            if s >= 0:
+                lo = v + s
+            if s <= 0:
+                hi = v + s
+        if tail and depth == k - 1:
+            start = n - 1
+        stop = 1 if head and depth == 0 else n - k + depth + 1
+        for pos in range(start, stop):
+            if lo <= word[pos] <= hi:
+                chosen.append(pos)
+                if extend(pos + 1):
+                    return True
+                chosen.pop()
+        return False
 
-    def extend(start: int) -> Iterator[tuple[int, ...]]:
-        depth = len(stack)
-        for pos in range(start, n - (k - depth) + 1):
-            stack.append(pos)
-            vals = tuple(w[p] for p in stack)
-            if _matches(pattern[: depth + 1], vals):
-                if depth + 1 == k:
-                    yield tuple(stack)
-                else:
-                    yield from extend(pos + 1)
-            stack.pop()
-
-    yield from extend(0)
+    return tuple(chosen) if extend(0) else None
 
 
 def occurrence_of(w: Perm, pattern: Perm) -> tuple[int, ...] | None:
     """Lex-least occurrence of pattern in w as 1-based positions, or None."""
-    for occ in _occurrences(w, pattern):
-        return tuple(p + 1 for p in occ)
-    return None
+    occ = first_occurrence(w, pattern)
+    return None if occ is None else tuple(p + 1 for p in occ)
 
 
 def contains_classical(w: Perm, pattern: Perm) -> bool:
-    return occurrence_of(w, pattern) is not None
+    return first_occurrence(w, pattern) is not None
 
 
 def avoids(w: Perm, *patterns: Perm) -> bool:
@@ -168,24 +210,19 @@ MU = MeshPattern((1, 3, 2), frozenset({(0, 2), (2, 0), (2, 1)}))
 def contains_mesh(w: Perm, mp: MeshPattern) -> bool:
     """Mesh containment: some classical occurrence has all shaded boxes empty."""
     n = len(w)
-    k = len(mp.tau)
-    for occ in _occurrences(w, mp.tau):
+
+    def boxes_empty(occ: tuple[int, ...]) -> bool:
         # 1-based positions with sentinels 0 and n+1 at the ends
         pos = (0,) + tuple(p + 1 for p in occ) + (n + 1,)
         vals = (0,) + tuple(sorted(w[p] for p in occ)) + (n + 1,)
-        ok = True
         for a, b in mp.shaded:
-            lo_p, hi_p = pos[a], pos[a + 1]
             lo_v, hi_v = vals[b], vals[b + 1]
-            for q in range(lo_p, hi_p - 1):  # 0-based positions strictly between
+            for q in range(pos[a], pos[a + 1] - 1):  # 0-based positions strictly between
                 if lo_v < w[q] < hi_v:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
+                    return False
+        return True
+
+    return first_occurrence(w, mp.tau, accept=boxes_empty) is not None
 
 
 def mu_predicate(w: Perm) -> bool:

@@ -16,6 +16,7 @@ import itertools
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidInputError, ResourceLimitError
+from .perms import first_occurrence
 
 Rgf = tuple[int, ...]
 
@@ -23,12 +24,10 @@ DEFAULT_RGF_CAP = 12
 
 
 def is_rgf(seq: Iterable[int]) -> bool:
-    t = tuple(seq)
-    mx = 0
-    for v in t:
-        if not isinstance(v, int) or v < 1 or v > mx + 1:
-            return False
-        mx = max(mx, v)
+    try:
+        validate(seq)
+    except InvalidInputError:
+        return False
     return True
 
 
@@ -37,7 +36,7 @@ def validate(seq: Iterable[int]) -> Rgf:
     t = tuple(seq)
     mx = 0
     for i, v in enumerate(t, start=1):
-        if not isinstance(v, int) or v < 1 or v > mx + 1:
+        if isinstance(v, bool) or not isinstance(v, int) or v < 1 or v > mx + 1:
             raise InvalidInputError(
                 f"not a restricted growth function: letter {v!r} at position {i} "
                 f"exceeds 1 + running maximum {mx}"
@@ -74,87 +73,15 @@ def word_standardize(word: Sequence[int]) -> tuple[int, ...]:
     return tuple(rank[v] for v in word)
 
 
-def _sign(a: int, b: int) -> int:
-    return (a > b) - (a < b)
-
-
-def _word_matches(pattern: Sequence[int], vals: Sequence[int]) -> bool:
-    n = len(pattern)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _sign(pattern[i], pattern[j]) != _sign(vals[i], vals[j]):
-                return False
-    return True
-
-
 def rgf_contains(word: Sequence[int], pattern: Sequence[int]) -> bool:
     """True iff some subsequence of word standardizes to std(pattern)."""
     if not pattern:
         raise InvalidInputError("empty pattern")
-    pat = word_standardize(pattern)
-    w = tuple(word)
-    k, n = len(pat), len(w)
-    if k > n:
-        return False
-
-    chosen: list[int] = []
-
-    def extend(start: int) -> bool:
-        depth = len(chosen)
-        for pos in range(start, n - (k - depth) + 1):
-            ok = True
-            for d, q in enumerate(chosen):
-                if _sign(pat[d], pat[depth]) != _sign(w[q], w[pos]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if depth + 1 == k:
-                return True
-            chosen.append(pos)
-            if extend(pos + 1):
-                return True
-            chosen.pop()
-        return False
-
-    return extend(0)
+    return first_occurrence(word, pattern) is not None
 
 
 def rgf_avoids(word: Sequence[int], *patterns: Sequence[int]) -> bool:
     return all(not rgf_contains(word, p) for p in patterns)
-
-
-def _contains_ending_at_last(w: Sequence[int], pat: Sequence[int]) -> bool:
-    # occurrence of pat whose final letter is the final letter of w;
-    # used to prune the enumeration tree exactly when a pattern completes
-    k, n = len(pat), len(w)
-    if k > n:
-        return False
-    last = n - 1
-    chosen: list[int] = []
-
-    def extend(start: int) -> bool:
-        depth = len(chosen)
-        if depth == k - 1:
-            for d, q in enumerate(chosen):
-                if _sign(pat[d], pat[k - 1]) != _sign(w[q], w[last]):
-                    return False
-            return True
-        for pos in range(start, last):
-            ok = True
-            for d, q in enumerate(chosen):
-                if _sign(pat[d], pat[depth]) != _sign(w[q], w[pos]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            chosen.append(pos)
-            if extend(pos + 1):
-                return True
-            chosen.pop()
-        return False
-
-    return extend(0)
 
 
 def enumerate_rgfs(n: int, cap: int = DEFAULT_RGF_CAP) -> Iterator[Rgf]:
@@ -197,7 +124,6 @@ def enumerate_avoiders(
         raise InvalidInputError("length must be nonnegative")
     if n > cap:
         raise ResourceLimitError(f"refusing RGF enumeration at n={n} (cap {cap})")
-    pat = word_standardize(pattern)
     out: list[Rgf] = []
     if n == 0:
         return [()]
@@ -211,7 +137,8 @@ def enumerate_avoiders(
         top = max(word) if word else 0
         for letter in range(1, top + 2):
             word.append(letter)
-            if not _contains_ending_at_last(word, pat):
+            # the word avoided pattern before, so a new occurrence ends here
+            if first_occurrence(word, pattern, tail=True) is None:
                 extend()
             word.pop()
 

@@ -75,7 +75,8 @@ def max_distribution_formula(n: int, k: int) -> int:
 
 def _series_reciprocal(d: list[int], terms: int) -> list[int]:
     # 1 / (d[0] + d[1] x + ...) with d[0] == 1, as integer coefficients
-    assert d[0] == 1
+    if d[0] != 1:
+        raise InvalidInputError(f"series constant term must be 1, got {d[0]}")
     f = [0] * terms
     f[0] = 1
     for n in range(1, terms):

@@ -15,7 +15,8 @@ from patternsort.bijections import (
     to_12231_avoider,
     to_12321_avoider,
 )
-from patternsort.errors import InvalidInputError
+from patternsort import bijections
+from patternsort.errors import InvalidInputError, MalformedInputError
 from patternsort.machine import enumerate_sortable
 from patternsort.paths import double_rises, enumerate_labeled_motzkin
 from patternsort.perms import all_perms, avoids
@@ -215,6 +216,16 @@ def test_gamma_domain_gates():
         to_12321_avoider((1, 2, 2, 3, 1))  # contains a repeat-led 231
     with pytest.raises(InvalidInputError):
         to_12231_avoider((1, 2, 3, 2, 1))  # contains 321
+
+
+def test_gamma_step_limit(monkeypatch):
+    # a limit of one swap stops both directions at their second swap
+    monkeypatch.setattr(bijections, "_GAMMA_STEP_LIMIT_POWER", 0)
+    with pytest.raises(MalformedInputError):
+        to_12321_avoider((1, 2, 3, 3, 2, 1))
+    with pytest.raises(MalformedInputError):
+        to_12231_avoider((1, 2, 2, 3, 3, 1))
+    assert to_12321_avoider((1, 2, 3, 2, 1)) == (1, 2, 2, 3, 1)
 
 
 def test_gamma_roundtrip_exhaustive():

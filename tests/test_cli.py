@@ -176,6 +176,10 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, _ = run(capsys, "enumerate", "sortable", "--n", "25")
     assert code == 2  # over the default cap
+    code, out, err = run(capsys, "verify", "--nmax", "0")
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    code, out, err = run(capsys, "table", "a007317", "--n", "-3")
+    assert (code, out) == (2, "") and err.startswith("error: ")
 
 
 def test_cap_precedence(capsys, monkeypatch):

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,12 +8,14 @@ from patternsort.perms import (
     MU,
     MeshPattern,
     all_perms,
+    as_perm,
     avoids,
     complement,
     contains_classical,
     contains_mesh,
     descents_ascents,
     direct_sum,
+    first_occurrence,
     format_perm,
     is_colayered,
     is_layered,
@@ -27,6 +31,7 @@ from patternsort.perms import (
     standardize,
     _is_layered_by_avoidance,
 )
+from patternsort.rgf import all_words_standardized, enumerate_rgfs, word_standardize
 
 perm_lists = st.permutations(list(range(1, 7)))
 
@@ -37,6 +42,10 @@ def test_is_perm():
     assert not is_perm((1, 1, 2))
     assert not is_perm((0, 1))
     assert not is_perm((2, 3))
+    assert not is_perm((True,))
+    assert not is_perm((2, True))
+    with pytest.raises(InvalidInputError):
+        as_perm((True,))
 
 
 def test_parse_perm_forms():
@@ -68,6 +77,34 @@ def test_occurrence_of_is_lex_least():
     # positions are 1-based and chosen greedily from the left
     assert occurrence_of((2, 4, 1, 3), (1, 3, 2)) == (1, 2, 4)
     assert occurrence_of((1, 2, 3), (2, 1)) is None
+
+
+def test_first_occurrence_matches_bruteforce():
+    # oracle: every position subset in lex order, grouped by the word it
+    # standardizes to, so each pattern's occurrences come out lex-sorted
+    patterns = [p for k in range(1, 5) for p in all_words_standardized(k)]
+    hosts = [w for n in range(7) for w in enumerate_rgfs(n)]
+    hosts += [p for n in range(1, 7) for p in all_perms(n)]
+    for w in hosts:
+        n = len(w)
+        occs: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for k in range(1, 5):
+            for pos in combinations(range(n), k):
+                occs.setdefault(word_standardize([w[q] for q in pos]), []).append(pos)
+        for pat in patterns:
+            for head in (False, True):
+                for tail in (False, True):
+                    want = [
+                        o for o in occs.get(pat, ())
+                        if (not head or o[0] == 0) and (not tail or o[-1] == n - 1)
+                    ]
+                    got = first_occurrence(w, pat, head=head, tail=tail)
+                    assert got == (want[0] if want else None), (w, pat, head, tail)
+                    if want:
+                        second = first_occurrence(
+                            w, pat, head=head, tail=tail, accept=lambda o: o != want[0]
+                        )
+                        assert second == (want[1] if len(want) > 1 else None)
 
 
 def test_contains_classical_basics():

@@ -37,6 +37,10 @@ def test_is_rgf():
     assert not is_rgf((2,))
     assert not is_rgf((1, 3))
     assert not is_rgf((1, 2, 4))
+    assert not is_rgf((True,))
+    assert not is_rgf((1, True))
+    with pytest.raises(InvalidInputError):
+        validate((True, 2))
 
 
 def test_validate_reports_position():

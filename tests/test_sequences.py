@@ -8,6 +8,7 @@ from patternsort.sequences import (
     catalan_double_partial_sums,
     cf_series,
     max_distribution_formula,
+    _series_reciprocal,
     motzkin,
     narayana,
 )
@@ -83,3 +84,5 @@ def test_cf_series_heads():
         cf_series(0, "a007317")
     with pytest.raises(InvalidInputError):
         cf_series(3, "golden")
+    with pytest.raises(InvalidInputError):
+        _series_reciprocal([2, -1], 4)
