@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .errors import InsertRejected, InvalidInputError, MalformedInputError
-from .grid import decompose, insert_cons, insert_min, insert_new_minimum
+from .grid import GrowthState
 from .machine import is_sigma_sortable
 from .paths import (
     dyck_parent,
@@ -44,31 +44,19 @@ def sortable_to_rgf(pi: Iterable[int], relaxed: bool = False) -> Rgf:
 def rgf_to_sortable(word: Iterable[int]) -> Perm:
     """Rebuild the sortable permutation whose strip word is the input.
 
-    A first occurrence inserts a new minimum; any other letter j inserts
-    into row j of the last column, choosing between the new-cell-minimum
-    and consecutive-ascent insertions by which one is legal there.
+    A first occurrence inserts a new minimum; any other letter j makes
+    the one legal insertion into row j of the last column.
     """
     r = validate(word)
-    if rgf_contains(r, (1, 2, 2, 3, 1)):
+    if _has_repeat_231(r):
         raise InvalidInputError(f"{r} contains 12231")
-    p: Perm = ()
-    mx = 0
+    s = GrowthState()
     try:
         for j in r:
-            if j == mx + 1:
-                p = insert_new_minimum(p)
-                mx = j
-                continue
-            d = decompose(p)
-            cell = d.cell(j, d.k)
-            if cell:
-                last_row = 1 + sum(m > p[-1] for m in d.minima_values)
-                p = insert_min(p, j) if last_row > j else insert_cons(p, j)
-            else:
-                p = insert_min(p, j)
+            s = s.new_min() if j == len(s.minima) + 1 else s.insert(j)
     except InsertRejected as exc:
         raise MalformedInputError(f"no legal insertion for {r}: {exc}") from exc
-    return p
+    return s.perm
 
 
 # -- words avoiding 1221 <-> Dyck paths ------------------------------------
@@ -379,6 +367,12 @@ def leftmost_repeat_231(word: Iterable[int]) -> TripleIndex:
     return TripleIndex(n + 1, n + 1, n + 1)
 
 
+def _has_repeat_231(r: Rgf) -> bool:
+    """On an RGF this is the same as containing 12231: the first
+    occurrence of the 1 precedes that of the repeated 2."""
+    return leftmost_repeat_231(r).i1 <= len(r)
+
+
 _GAMMA_STEP_LIMIT_POWER = 3
 
 
@@ -400,7 +394,7 @@ def to_12321_avoider(
     the same letter multiset.
     """
     r = validate(word)
-    if leftmost_repeat_231(r) != TripleIndex(len(r) + 1, len(r) + 1, len(r) + 1):
+    if _has_repeat_231(r):
         raise InvalidInputError(f"{r} contains a repeat-led 231")
     steps: list[TripleIndex] = []
     limit = max(1, len(r)) ** _GAMMA_STEP_LIMIT_POWER

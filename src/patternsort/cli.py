@@ -102,12 +102,16 @@ def _do_sortable(args) -> tuple[str, int]:
 def _do_enumerate(args) -> tuple[str, int]:
     kind = args.kind
     n = args.n
+    if args.pattern is not None and kind != "rgf":
+        raise InvalidInputError(f"--pattern applies only to kind rgf, not {kind}")
     if kind == "sortable":
         cap = _effective_cap(args, machine.DEFAULT_PERM_CAP)
-        items = [
-            format_perm(p)
-            for p in machine.enumerate_sortable(n, parse_perm(args.sigma), cap)
-        ]
+        sigma = parse_perm(args.sigma)
+        if sigma == (1, 3, 2):
+            perms = grid.generate_sortable(n, cap)
+        else:
+            perms = machine.enumerate_sortable(n, sigma, cap)
+        items = [format_perm(p) for p in perms]
     elif kind == "rgf":
         cap = _effective_cap(args, rgf.DEFAULT_RGF_CAP)
         if args.pattern:
@@ -319,6 +323,8 @@ def _table_rows(args) -> tuple[str, list[tuple[int, int]], int]:
     n = args.n
     if n < 1:
         raise InvalidInputError(f"--n must be >= 1, got {n}")
+    if args.pattern is not None and kind != "rgf-max":
+        raise InvalidInputError(f"--pattern applies only to kind rgf-max, not {kind}")
     status = 0
     if kind == "a007317":
         header = "n,value"

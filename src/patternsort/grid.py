@@ -7,7 +7,9 @@ horizontal strip H_i holds the values strictly between m_i and m_{i-1}
 is the word of non-minima.  For sortable permutations the last column
 carries a notion of active cells, and appending one new element per
 active cell (plus a brand new minimum) generates every sortable
-permutation of the next length exactly once.
+permutation of the next length exactly once.  GrowthState carries just
+what such a step needs, so growing a permutation costs O(n) per entry
+instead of a fresh decomposition.
 """
 
 from __future__ import annotations
@@ -95,10 +97,11 @@ def decompose(pi: Iterable[int]) -> GridDecomposition:
         blocks[j - 1].append(x)
 
     # row i holds values in the open interval (m_i, m_{i-1})
+    mset = set(mval)
     hstrips: list[list[int]] = [[] for _ in range(k)]
     rows: dict[int, int] = {}
     for x in p:
-        if x in set(mval):
+        if x in mset:
             continue
         i = 1 + sum(1 for m in mval if m > x)
         rows[x] = i
@@ -110,7 +113,7 @@ def decompose(pi: Iterable[int]) -> GridDecomposition:
             key = (rows[x], bj)
             cells[key] = cells.get(key, ()) + (x,)
 
-    core = tuple(x for x in p if x not in set(mval))
+    core = tuple(x for x in p if x not in mset)
     return GridDecomposition(
         p,
         minima,
@@ -185,30 +188,6 @@ def _require_sortable(p: Perm) -> None:
         raise InvalidInputError(f"{p} is not sortable")
 
 
-def active_cells(pi: Iterable[int]) -> set[int]:
-    """Rows i of the last column where an insertion can stay sortable."""
-    p = as_perm(pi)
-    _require_sortable(p)
-    d = decompose(p)
-    k = d.k
-    mval = d.minima_values
-    last_block = d.blocks[k - 1]
-
-    active: set[int] = set()
-    for i in range(1, k + 1):
-        below_left = any(
-            (u, v) in d.cells
-            for u in range(i + 1, k + 1)
-            for v in range(1, k)
-        )
-        if below_left:
-            continue
-        under = [v for v in last_block if v < mval[i - 1]]
-        if all(a < b for a, b in zip(under, under[1:])):
-            active.add(i)
-    return active
-
-
 class InsertionKind(NamedTuple):
     """One of "new-min", "min" (cell i), "cons" (cell i); cell indices
     refer to the last column."""
@@ -217,49 +196,154 @@ class InsertionKind(NamedTuple):
     cell: int | None = None
 
 
+class GrowthState:
+    """What one step of the generating tree needs to know about a sortable
+    permutation, kept up to date in O(n) per insertion.
+
+    ``minima`` are the ltr-minima values m_1 > ... > m_k, ``last`` the
+    (value, row) pairs of the last column C_{., k} in position order, and
+    ``high`` the highest row index used by a non-minimum outside the last
+    column (0 if none).  An insertion never changes the row of an existing
+    entry, so rows are computed once, when the entry is appended.
+    """
+
+    __slots__ = ("perm", "minima", "last", "high")
+
+    def __init__(
+        self,
+        perm: Perm = (),
+        minima: tuple[int, ...] = (),
+        last: tuple[tuple[int, int], ...] = (),
+        high: int = 0,
+    ) -> None:
+        self.perm = perm
+        self.minima = minima
+        self.last = last
+        self.high = high
+
+    @classmethod
+    def of(cls, p: Perm) -> GrowthState:
+        """The state of a permutation, read in one left-to-right pass."""
+        minima: list[int] = []
+        last: list[tuple[int, int]] = []
+        high = 0
+        for x in p:
+            if not minima or x < minima[-1]:
+                high = max([high, *(r for _, r in last)])
+                minima.append(x)
+                last = []
+            else:
+                last.append((x, 1 + sum(m > x for m in minima)))
+        return cls(tuple(p), tuple(minima), tuple(last), high)
+
+    def active(self) -> range:
+        """Rows i of the last column where an insertion stays sortable.
+
+        Cell (i, k) is active when no non-minimum outside the last column
+        sits below row i and the last-column entries below row i increase.
+        Both conditions only get easier as i grows, so the active cells
+        are the rows from a floor up to k.
+        """
+        floor = max(1, self.high)
+        smallest = None
+        for v, r in reversed(self.last):
+            if smallest is not None and v > smallest:
+                floor = max(floor, r)  # a later, smaller entry sits in a row >= r
+            else:
+                smallest = v
+        return range(floor, len(self.minima) + 1)
+
+    def _legal(self, i: int) -> tuple[str, int]:
+        """The one legal insertion into active cell (i, k) and its pivot.
+
+        It is the successor of the cell's last entry ("cons") when the cell
+        is nonempty and the permutation's last entry sits in row i or
+        above, and a new smallest entry of the cell ("min") otherwise.
+        """
+        if self._last_row() <= i:
+            for v, r in reversed(self.last):
+                if r == i:
+                    return "cons", v
+        return "min", self.minima[i - 1]
+
+    def _last_row(self) -> int:
+        return self.last[-1][1] if self.last else len(self.minima)
+
+    def _grow(self, pivot: int, row: int) -> GrowthState:
+        """Append pivot + 1 in ``row``, shifting every value above pivot."""
+        return GrowthState(
+            tuple([x + 1 if x > pivot else x for x in self.perm]) + (pivot + 1,),
+            tuple([m + 1 if m > pivot else m for m in self.minima]),
+            tuple([(v + 1 if v > pivot else v, r) for v, r in self.last])
+            + ((pivot + 1, row),),
+            self.high,
+        )
+
+    def new_min(self) -> GrowthState:
+        """Append a new smallest entry, which opens an empty last column."""
+        return GrowthState(
+            tuple([x + 1 for x in self.perm]) + (1,),
+            tuple([m + 1 for m in self.minima]) + (1,),
+            (),
+            max([self.high, *(r for _, r in self.last)]),
+        )
+
+    def insert(self, i: int, kind: str | None = None) -> GrowthState:
+        """The child grown in cell (i, k) by its one legal insertion.
+
+        ``kind`` ("min" or "cons") demands that insertion: the other one
+        is rejected with the reason it is not legal.
+        """
+        k = len(self.minima)
+        if i not in self.active():
+            raise InsertRejected("inactive", f"cell ({i},{k}) is not active")
+        legal, pivot = self._legal(i)
+        if kind is not None and kind != legal:
+            row = self._last_row()
+            if legal == "cons":
+                raise InsertRejected("illegal-op", f"last entry sits in row {row} <= {i}")
+            if all(r != i for _, r in self.last):
+                raise InsertRejected("empty-cell", f"cell ({i},{k}) is empty")
+            raise InsertRejected("illegal-op", f"last entry sits in row {row} > {i}")
+        return self._grow(pivot, i)
+
+    def children(self) -> list[tuple[InsertionKind, GrowthState]]:
+        """The new minimum plus the single legal insertion per active cell."""
+        out = [(InsertionKind("new-min"), self.new_min())]
+        for i in self.active():
+            legal, pivot = self._legal(i)
+            out.append((InsertionKind(legal, i), self._grow(pivot, i)))
+        return out
+
+
+def _state(pi: Iterable[int]) -> GrowthState:
+    """The state of a validated, sortable, nonempty permutation."""
+    p = as_perm(pi)
+    _require_sortable(p)
+    if not p:
+        raise InvalidInputError("the empty permutation has no cells")
+    return GrowthState.of(p)
+
+
+def active_cells(pi: Iterable[int]) -> set[int]:
+    """Rows i of the last column where an insertion can stay sortable."""
+    return set(_state(pi).active())
+
+
 def insert_new_minimum(pi: Iterable[int]) -> Perm:
     p = as_perm(pi)
     _require_sortable(p)
-    return tuple(x + 1 for x in p) + (1,)
-
-
-def _last_entry_row(d: GridDecomposition) -> int:
-    v = d.perm[-1]
-    return 1 + sum(1 for m in d.minima_values if m > v)
+    return GrowthState.of(p).new_min().perm
 
 
 def insert_min(pi: Iterable[int], i: int) -> Perm:
     """Append a new smallest element of cell (i, k)."""
-    p = as_perm(pi)
-    _require_sortable(p)
-    d = decompose(p)
-    if i not in active_cells(p):
-        raise InsertRejected("inactive", f"cell ({i},{d.k}) is not active")
-    cell = d.cell(i, d.k)
-    if cell and _last_entry_row(d) <= i:
-        raise InsertRejected(
-            "illegal-op", f"last entry sits in row {_last_entry_row(d)} <= {i}"
-        )
-    pivot = d.minima_values[i - 1]
-    return tuple(x if x <= pivot else x + 1 for x in p) + (pivot + 1,)
+    return _state(pi).insert(i, "min").perm
 
 
 def insert_cons(pi: Iterable[int], i: int) -> Perm:
     """Append the successor of the last element of cell (i, k)."""
-    p = as_perm(pi)
-    _require_sortable(p)
-    d = decompose(p)
-    if i not in active_cells(p):
-        raise InsertRejected("inactive", f"cell ({i},{d.k}) is not active")
-    cell = d.cell(i, d.k)
-    if not cell:
-        raise InsertRejected("empty-cell", f"cell ({i},{d.k}) is empty")
-    if _last_entry_row(d) > i:
-        raise InsertRejected(
-            "illegal-op", f"last entry sits in row {_last_entry_row(d)} > {i}"
-        )
-    pivot = cell[-1]
-    return tuple(x if x <= pivot else x + 1 for x in p) + (pivot + 1,)
+    return _state(pi).insert(i, "cons").perm
 
 
 def insert(pi: Iterable[int], kind: InsertionKind) -> Perm:
@@ -278,17 +362,7 @@ def insert(pi: Iterable[int], kind: InsertionKind) -> Perm:
 
 def children(pi: Iterable[int]) -> list[tuple[InsertionKind, Perm]]:
     """The new minimum plus the single legal insertion per active cell."""
-    p = as_perm(pi)
-    _require_sortable(p)
-    d = decompose(p)
-    out = [(InsertionKind("new-min"), insert_new_minimum(p))]
-    for i in sorted(active_cells(p)):
-        cell = d.cell(i, d.k)
-        if cell and _last_entry_row(d) <= i:
-            out.append((InsertionKind("cons", i), insert_cons(p, i)))
-        else:
-            out.append((InsertionKind("min", i), insert_min(p, i)))
-    return out
+    return [(kind, s.perm) for kind, s in _state(pi).children()]
 
 
 def generate_sortable(n: int, cap: int = DEFAULT_PERM_CAP) -> list[Perm]:
@@ -299,19 +373,10 @@ def generate_sortable(n: int, cap: int = DEFAULT_PERM_CAP) -> list[Perm]:
         raise ResourceLimitError(f"refusing generation at n={n} (cap {cap})")
     if n == 0:
         return [()]
-    level: list[Perm] = [(1,)]
+    level = [GrowthState().new_min()]
     for _ in range(n - 1):
-        nxt: list[Perm] = []
-        for p in level:
-            nxt.extend(q for _, q in children(p))
-        level = nxt
-    return sorted(level)
-
-
-def active_count_distribution(n: int, cap: int = DEFAULT_PERM_CAP) -> Counter[int]:
-    """Multiset of active-cell counts over all sortable permutations of
-    length n.  Reported empirically; no succession rule is asserted."""
-    return Counter(len(active_cells(p)) for p in generate_sortable(n, cap))
+        level = [c for s in level for _, c in s.children()]
+    return sorted(s.perm for s in level)
 
 
 def minima_distribution(n: int, cap: int = DEFAULT_PERM_CAP) -> Counter[int]:

@@ -20,7 +20,7 @@ from patternsort.errors import InvalidInputError, MalformedInputError
 from patternsort.machine import enumerate_sortable
 from patternsort.paths import double_rises, enumerate_labeled_motzkin
 from patternsort.perms import all_perms, avoids
-from patternsort.rgf import enumerate_avoiders, rgf_avoids
+from patternsort.rgf import enumerate_avoiders, enumerate_rgfs, rgf_avoids, rgf_contains
 from patternsort.sequences import catalan
 
 WORKED_PERM = (13, 14, 15, 10, 12, 6, 7, 8, 11, 9, 3, 1, 4, 5, 2)
@@ -197,6 +197,15 @@ def test_triple_scans():
     assert leftmost_repeat_231((1, 2, 2, 3, 1)) == (3, 4, 5)
     w = (1, 2, 3)
     assert leftmost_repeat_231(w) == (4, 4, 4)
+
+
+def test_repeat_231_is_12231_on_rgfs():
+    # rgf_to_sortable and to_12321_avoider gate on the repeat-led 231 scan;
+    # the generic matcher is the reference
+    for n in range(9):
+        for r in enumerate_rgfs(n):
+            found = leftmost_repeat_231(r) != (n + 1, n + 1, n + 1)
+            assert found == rgf_contains(r, (1, 2, 2, 3, 1)), r
 
 
 def test_gamma_golden():

@@ -50,6 +50,17 @@ def test_enumerate_items_match_library(capsys):
     assert out.splitlines() == want
 
 
+def test_enumerate_sortable_132_matches_brute_force(capsys):
+    # sigma = 132 is served by the generating tree, other sigma by brute force
+    for n in range(8):
+        code, out, _ = run(capsys, "enumerate", "sortable", "--n", str(n))
+        want = [format_perm(p) for p in machine.enumerate_sortable(n, (1, 3, 2))]
+        assert (code, out) == (0, "\n".join(want) + "\n"), n
+    code, out, _ = run(capsys, "enumerate", "sortable", "--sigma", "123", "--n", "4")
+    want = [format_perm(p) for p in machine.enumerate_sortable(4, (1, 2, 3))]
+    assert (code, out.splitlines()) == (0, want)
+
+
 def test_map_phi_golden(capsys):
     code, out, _ = run(
         capsys, "map", "phi", "--perm", "13 14 15 10 12 6 7 8 11 9 3 1 4 5 2"
@@ -180,6 +191,22 @@ def test_usage_errors(capsys):
     assert (code, out) == (2, "") and err.startswith("error: ")
     code, out, err = run(capsys, "table", "a007317", "--n", "-3")
     assert (code, out) == (2, "") and err.startswith("error: ")
+    # --pattern is refused where it would be ignored
+    for argv in (
+        ("enumerate", "sortable", "--n", "3", "--pattern", "12"),
+        ("enumerate", "dyck", "--n", "3", "--pattern", "12"),
+        ("enumerate", "motzkin", "--n", "3", "--pattern", "12"),
+        ("enumerate", "labeled-motzkin", "--n", "3", "--pattern", "12"),
+        ("table", "a007317", "--n", "3", "--pattern", "12"),
+        ("table", "narayana", "--n", "3", "--pattern", "12"),
+        ("table", "sortable-by-minima", "--n", "3", "--pattern", "12"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error: "), argv
+    code, _, _ = run(capsys, "enumerate", "rgf", "--n", "3", "--pattern", "12")
+    assert code == 0
+    code, _, _ = run(capsys, "table", "rgf-max", "--n", "3", "--pattern", "12")
+    assert code == 0
 
 
 def test_cap_precedence(capsys, monkeypatch):

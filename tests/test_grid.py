@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
+from patternsort.bijections import rgf_to_sortable, sortable_to_rgf
 from patternsort.errors import InsertRejected, InvalidInputError
 from patternsort.grid import (
+    GrowthState,
     active_cells,
     children,
     decompose,
@@ -126,10 +130,76 @@ def test_children_count_and_legality():
 
 def test_generate_matches_machine():
     assert generate_sortable(0) == [()]
-    for n in range(1, 8):
+    for n in range(1, 9):
         assert generate_sortable(n) == enumerate_sortable(n, (1, 3, 2))
 
 
 def test_minima_distribution_small():
     assert minima_distribution(3) == {1: 1, 2: 3, 3: 1}
     assert sum(minima_distribution(5).values()) == 51
+
+
+def _reference_active_cells(p):
+    """The decompose-based active-cell rule that the growth state replaced."""
+    d = decompose(p)
+    k = d.k
+    mval = d.minima_values
+    last_block = d.blocks[k - 1]
+
+    active = set()
+    for i in range(1, k + 1):
+        below_left = any(
+            (u, v) in d.cells
+            for u in range(i + 1, k + 1)
+            for v in range(1, k)
+        )
+        if below_left:
+            continue
+        under = [v for v in last_block if v < mval[i - 1]]
+        if all(a < b for a, b in zip(under, under[1:])):
+            active.add(i)
+    return active
+
+
+def _append(p, v):
+    """p followed by a new entry of value v."""
+    return tuple(x + 1 if x >= v else x for x in p) + (v,)
+
+
+def _fields(s):
+    return s.perm, s.minima, s.last, s.high
+
+
+def test_growth_state_matches_reference():
+    for n in range(1, 9):
+        for p in enumerate_sortable(n, (1, 3, 2)):
+            s = GrowthState.of(p)
+            assert set(s.active()) == _reference_active_cells(p), p
+            kids = s.children()
+            # the children are exactly the sortable one-entry extensions
+            extensions = sorted(
+                q for q in (_append(p, v) for v in range(1, n + 2)) if is_sigma_sortable(q)
+            )
+            assert sorted(c.perm for _, c in kids) == extensions, p
+            assert [kind.cell for kind, _ in kids] == [None, *s.active()], p
+            for kind, c in kids:
+                # the incremental state equals the one read from scratch
+                assert _fields(c) == _fields(GrowthState.of(c.perm)), (p, kind)
+                v = c.perm[-1]
+                if kind.kind == "new-min":
+                    assert v == 1
+                else:
+                    assert c.last[-1][1] == kind.cell
+                    assert (v - 1 in c.minima) == (kind.kind == "min"), (p, kind)
+
+
+def test_seeded_walk_round_trips_at_length_200():
+    rng = random.Random(200)
+    p = (1,)
+    kinds = set()
+    while len(p) < 200:
+        kind, p = rng.choice(children(p))
+        kinds.add(kind.kind)
+    assert kinds == {"new-min", "min", "cons"}
+    assert is_sigma_sortable(p)
+    assert rgf_to_sortable(sortable_to_rgf(p)) == p
