@@ -8,6 +8,7 @@ validated input can never trigger) raise MalformedInputError.
 
 from __future__ import annotations
 
+from math import inf
 from typing import Iterable, NamedTuple
 
 from .errors import InsertRejected, InvalidInputError, MalformedInputError
@@ -19,8 +20,14 @@ from .paths import (
     validate_dyck,
     validate_labeled_motzkin,
 )
-from .perms import Perm, as_perm, contains_classical, ltr_minima
-from .rgf import Rgf, rgf_contains, validate
+from .perms import Perm, _contains_321, as_perm, ltr_minima
+from .rgf import (
+    Rgf,
+    _contains_1221,
+    _contains_12323,
+    _contains_12332,
+    validate,
+)
 
 
 # -- sortable permutations <-> words avoiding 12231 -----------------------
@@ -70,7 +77,7 @@ def rgf_to_dyck_path(word: Iterable[int]) -> str:
     j == M + 1, and before the (r+j-M+1)-th D of the run otherwise.
     """
     r = validate(word)
-    if rgf_contains(r, (1, 2, 2, 1)):
+    if _contains_1221(r):
         raise InvalidInputError(f"{r} contains 1221")
     path = ""
     mx = 0
@@ -128,7 +135,7 @@ def dyck_path_to_rgf(path: str) -> Rgf:
         validate(out)
     except InvalidInputError as exc:
         raise MalformedInputError(f"replay produced a non-word: {out}") from exc
-    if rgf_contains(out, (1, 2, 2, 1)):
+    if _contains_1221(out):
         raise MalformedInputError(f"replay produced {out} containing 1221")
     return out
 
@@ -195,11 +202,12 @@ def rgf_to_labeled_motzkin(
         r = validate((1,) + tuple(v + 1 for v in r))
     if not r:
         raise InvalidInputError("need a word of length >= 1")
-    forbidden = (1, 2, 3, 2, 3) if mode == "stack" else (1, 2, 3, 3, 2)
-    if rgf_contains(r, forbidden):
-        raise InvalidInputError(
-            f"{r} contains {''.join(map(str, forbidden))} ({mode} mode)"
-        )
+    if mode == "stack":
+        forbidden, contains = "12323", _contains_12323
+    else:
+        forbidden, contains = "12332", _contains_12332
+    if contains(r):
+        raise InvalidInputError(f"{r} contains {forbidden} ({mode} mode)")
     if r[0] != 1:
         raise InvalidInputError("word must start with 1")
 
@@ -295,7 +303,7 @@ def rgf_to_av321(word: Iterable[int]) -> Perm:
 def av321_to_rgf(pi: Iterable[int]) -> Rgf:
     """Inverse of rgf_to_av321, defined on 321-avoiding permutations."""
     p = as_perm(pi)
-    if contains_classical(p, (3, 2, 1)):
+    if _contains_321(p):
         raise InvalidInputError(f"{p} contains 321")
     maxpos = []
     mx = 0
@@ -336,14 +344,28 @@ def rightmost_321(word: Iterable[int]) -> TripleIndex:
     """Lexicographically largest positions of a strictly decreasing triple."""
     r = tuple(word)
     n = len(r)
-    for i1 in range(n - 2, 0, -1):
-        for i2 in range(n - 1, i1, -1):
-            if r[i2 - 1] >= r[i1 - 1]:
-                continue
-            for i3 in range(n, i2, -1):
-                if r[i3 - 1] < r[i2 - 1]:
-                    return TripleIndex(i1, i2, i3)
-    return TripleIndex(0, 0, 0)
+    # right to left: low is the least letter seen, mid the least one with
+    # a smaller letter after it; the first letter above mid starts the triple
+    low = mid = inf
+    for a in range(n - 1, -1, -1):
+        v = r[a]
+        if mid < v:
+            break
+        if low < v:
+            mid = v
+        else:
+            low = v
+    else:
+        return TripleIndex(0, 0, 0)
+    # the middle entry: the rightmost letter below v with a smaller one after it
+    low = inf
+    for b in range(n - 1, a, -1):
+        if low < r[b] < v:
+            break
+        if r[b] < low:
+            low = r[b]
+    c = next(k for k in range(n - 1, b, -1) if r[k] < r[b])
+    return TripleIndex(a + 1, b + 1, c + 1)
 
 
 def leftmost_repeat_231(word: Iterable[int]) -> TripleIndex:
@@ -351,19 +373,24 @@ def leftmost_repeat_231(word: Iterable[int]) -> TripleIndex:
     repeat (not the first occurrence of its value)."""
     r = tuple(word)
     n = len(r)
+    after = [inf] * n  # after[k]: least letter right of index k
+    low = inf
+    for k in range(n - 1, -1, -1):
+        after[k] = low
+        if r[k] < low:
+            low = r[k]
     seen: set[int] = set()
-    for j1 in range(1, n + 1):
-        v1 = r[j1 - 1]
-        is_repeat = v1 in seen
-        seen.add(v1)
-        if not is_repeat:
-            continue
-        for j2 in range(j1 + 1, n + 1):
-            if r[j2 - 1] <= v1:
-                continue
-            for j3 in range(j2 + 1, n + 1):
-                if r[j3 - 1] < v1:
-                    return TripleIndex(j1, j2, j3)
+    for a, v in enumerate(r):
+        if v in seen:
+            # after[] only grows to the right, so once no smaller letter
+            # follows a candidate 3, none follows any later one either
+            for b in range(a + 1, n):
+                if after[b] >= v:
+                    break
+                if r[b] > v:
+                    c = next(k for k in range(b + 1, n) if r[k] < v)
+                    return TripleIndex(a + 1, b + 1, c + 1)
+        seen.add(v)
     return TripleIndex(n + 1, n + 1, n + 1)
 
 

@@ -27,6 +27,7 @@ from .perms import (
     is_layered,
     _contains_231,
     _contains_2314,
+    _contains_321,
     _is_layered_by_avoidance,
     ltr_minima,
     mu_predicate,
@@ -219,13 +220,17 @@ def _check_perm_layered(nmax: int) -> str:
 
 
 def _check_perm_fast_patterns(nmax: int) -> str:
-    bound = min(7, nmax)
+    bound = min(8, nmax)
+    scans = (
+        ((2, 3, 1), _contains_231),
+        ((2, 3, 1, 4), _contains_2314),
+        ((3, 2, 1), _contains_321),
+    )
     for n in range(1, bound + 1):
         for p in all_perms(n):
-            if _contains_231(p) != contains_classical(p, (2, 3, 1)):
-                raise _Fail(f"231 on {format_perm(p)}")
-            if _contains_2314(p) != contains_classical(p, (2, 3, 1, 4)):
-                raise _Fail(f"2314 on {format_perm(p)}")
+            for q, scan in scans:
+                if scan(p) != contains_classical(p, q):
+                    raise _Fail(f"{format_perm(q)} on {format_perm(p)}")
     return f"specialized pattern scans match the generic matcher, n <= {bound}"
 
 
@@ -467,6 +472,21 @@ def _check_rgf_active_sites(nmax: int) -> str:
                 if ok != (j in sites):
                     raise _Fail(f"{rgf.format_rgf(r)} + {j}")
     return f"appendable letters form exactly the stated interval, n <= {bound}"
+
+
+def _check_rgf_fast_patterns(nmax: int) -> str:
+    bound = min(9, nmax)
+    scans = (
+        ((1, 2, 2, 1), rgf._contains_1221),
+        ((1, 2, 3, 3, 2), rgf._contains_12332),
+        ((1, 2, 3, 2, 3), rgf._contains_12323),
+    )
+    for n in range(1, bound + 1):
+        for r in rgf.enumerate_rgfs(n):
+            for q, scan in scans:
+                if scan(r) != rgf.rgf_contains(r, q):
+                    raise _Fail(f"{rgf.format_rgf(q)} on {rgf.format_rgf(r)}")
+    return f"specialized pattern scans match the generic matcher, n <= {bound}"
 
 
 def _check_rgf_pruned_vs_naive(nmax: int) -> str:
@@ -797,6 +817,7 @@ _REGISTRY: tuple[tuple[str, str, Callable[[int], str]], ...] = (
     ("rgf-12231-vs-2231", "rgf", _check_rgf_12231_2231),
     ("rgf-active-sites", "rgf", _check_rgf_active_sites),
     ("rgf-pruned-vs-naive", "rgf", _check_rgf_pruned_vs_naive),
+    ("rgf-fast-patterns", "rgf", _check_rgf_fast_patterns),
     ("bij-phi-roundtrip", "bijections", _check_phi_roundtrip),
     ("bij-psi-roundtrip", "bijections", _check_psi_roundtrip),
     ("bij-beta-roundtrip", "bijections", _check_beta_roundtrip),

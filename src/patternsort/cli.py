@@ -222,11 +222,13 @@ def _do_map(args) -> tuple[str, int]:
         stats = {"max": max(r), "double_rises": paths.double_rises(path)}
         in_text = format_rgf(tuple(r))
     elif name == "psi-inverse":
-        path = _require(args, "--path", f"map {args.name}")
-        r = bijections.dyck_path_to_rgf(path.strip())
+        path = _require(args, "--path", f"map {args.name}").strip()
+        if not path:
+            raise InvalidInputError("empty Dyck path")
+        r = bijections.dyck_path_to_rgf(path)
         out_text = format_rgf(r)
-        stats = {"max": max(r), "double_rises": paths.double_rises(path.strip())}
-        in_text = path.strip()
+        stats = {"max": max(r), "double_rises": paths.double_rises(path)}
+        in_text = path
     elif name == "beta":
         steps = paths.parse_steps(_require(args, "--path", f"map {args.name}"))
         r = bijections.labeled_motzkin_to_rgf(steps, args.mode, reduced=args.reduced)
@@ -498,8 +500,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     out_path = getattr(args, "out", None)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(body + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(body + "\n")
+        except OSError as exc:
+            print(f"error: cannot write {out_path}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         print(body)
     return status

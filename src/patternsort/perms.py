@@ -368,8 +368,21 @@ def all_perms(n: int) -> Iterator[Perm]:
     yield from itertools.permutations(range(1, n + 1))
 
 
-# fast containment tests for the two patterns on hot enumeration paths;
-# both are cross-tested against contains_classical
+# fast containment tests for fixed patterns on hot paths; each is
+# cross-tested against contains_classical
+
+
+def _contains_321(w: Perm) -> bool:
+    """The entries that are not left-to-right maxima fail to increase."""
+    mx = low = 0  # running maximum; last entry below it
+    for v in w:
+        if v > mx:
+            mx = v
+        elif v < low:
+            return True
+        else:
+            low = v
+    return False
 
 
 def _contains_231(w: Perm) -> bool:

@@ -84,6 +84,56 @@ def rgf_avoids(word: Sequence[int], *patterns: Sequence[int]) -> bool:
     return all(not rgf_contains(word, p) for p in patterns)
 
 
+# fast containment tests for the fixed patterns the map gates reject; each
+# holds on validated RGFs only, where a letter is a repeat exactly when it
+# does not exceed the running maximum, and each is cross-checked against
+# rgf_contains
+
+
+def _repeat_then_smaller(r: Rgf, floor: int) -> bool:
+    """Some letter b recurs and a letter in [floor, b) follows that repeat."""
+    mx = top = 0  # running maximum; largest repeated letter so far
+    for v in r:
+        if floor <= v < top:
+            return True
+        if v <= mx:
+            top = max(top, v)
+        else:
+            mx = v
+    return False
+
+
+def _contains_1221(r: Rgf) -> bool:
+    return _repeat_then_smaller(r, 1)
+
+
+def _contains_12332(r: Rgf) -> bool:
+    return _repeat_then_smaller(r, 2)
+
+
+def _contains_12323(r: Rgf) -> bool:
+    """Some two blocks other than the block of 1 cross.
+
+    A block that started and has not ended yet is open; the blocks do not
+    cross exactly when every repeat belongs to the most recently opened
+    block that is still open.
+    """
+    last = {v: i for i, v in enumerate(r)}
+    opened: list[int] = []
+    mx = 0
+    for i, v in enumerate(r):
+        if v == 1:
+            continue
+        if v > mx:
+            mx = v
+            opened.append(v)
+        elif opened[-1] != v:
+            return True
+        if last[v] == i:
+            opened.pop()
+    return False
+
+
 def enumerate_rgfs(n: int, cap: int = DEFAULT_RGF_CAP) -> Iterator[Rgf]:
     """All RGFs of length n in lexicographic order (Bell-number many)."""
     if n < 0:

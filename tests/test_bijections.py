@@ -1,3 +1,6 @@
+import random
+from itertools import combinations, product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,8 +20,14 @@ from patternsort.bijections import (
 )
 from patternsort import bijections
 from patternsort.errors import InvalidInputError, MalformedInputError
+from patternsort.grid import children
 from patternsort.machine import enumerate_sortable
-from patternsort.paths import double_rises, enumerate_labeled_motzkin
+from patternsort.paths import (
+    LABELED_STEPS,
+    double_rises,
+    dyck_children,
+    enumerate_labeled_motzkin,
+)
 from patternsort.perms import all_perms, avoids
 from patternsort.rgf import enumerate_avoiders, enumerate_rgfs, rgf_avoids, rgf_contains
 from patternsort.sequences import catalan
@@ -199,6 +208,23 @@ def test_triple_scans():
     assert leftmost_repeat_231(w) == (4, 4, 4)
 
 
+def test_triple_scans_match_bruteforce():
+    # every word over 1..4, not only RGFs: the swap maps scan the words
+    # between two swaps too
+    for n in range(8):
+        triples = list(combinations(range(1, n + 1), 3))
+        for w in product(range(1, 5), repeat=n):
+            repeat = [v in w[:i] for i, v in enumerate(w)]
+            dec = [t for t in triples if w[t[0] - 1] > w[t[1] - 1] > w[t[2] - 1]]
+            assert rightmost_321(w) == max(dec, default=(0, 0, 0)), w
+            led = [
+                (a, b, c)
+                for a, b, c in triples
+                if repeat[a - 1] and w[b - 1] > w[a - 1] > w[c - 1]
+            ]
+            assert leftmost_repeat_231(w) == min(led, default=(n + 1,) * 3), w
+
+
 def test_repeat_231_is_12231_on_rgfs():
     # rgf_to_sortable and to_12321_avoider gate on the repeat-led 231 scan;
     # the generic matcher is the reference
@@ -248,3 +274,53 @@ def test_gamma_roundtrip_exhaustive():
             assert to_12231_avoider(v) == w
             image.add(v)
         assert image == set(enumerate_avoiders(n, (1, 2, 3, 2, 1)))
+
+
+# -- every map on one long seeded object ------------------------------------
+
+def test_every_map_round_trips_at_length_300():
+    # objects grown by seeded walks, the sortable one as in
+    # test_grid.test_seeded_walk_round_trips_at_length_200
+    rng = random.Random(300)
+    p = (1,)
+    while len(p) < 300:
+        _, p = rng.choice(children(p))
+    r = sortable_to_rgf(p)
+    assert rgf_to_sortable(r) == p
+    g, swaps = to_12321_avoider(r, with_steps=True)
+    assert swaps and to_12231_avoider(g) == r
+
+    path = ""
+    while len(path) < 600:
+        path = rng.choice(dyck_children(path))
+    w = dyck_path_to_rgf(path)
+    assert rgf_to_dyck_path(w) == path
+
+    steps: list[str] = []
+    h = 0
+    for rest in range(298, -1, -1):
+        # rest steps follow this one, so the height must stay within reach of 0
+        options = [
+            t
+            for t in LABELED_STEPS
+            if (h > 0 or t not in ("D", "H2"))
+            and h + (t == "U") - (t == "D") <= rest
+        ]
+        s = rng.choice(options)
+        steps.append(s)
+        h += (s == "U") - (s == "D")
+    for mode in ("stack", "queue"):
+        w = labeled_motzkin_to_rgf(steps, mode)
+        assert len(w) == 300 and rgf_to_labeled_motzkin(w, mode) == tuple(steps)
+
+    # non-maxima weakly increasing: each letter is a new maximum or >= low
+    w = [1]
+    mx = low = 1
+    while len(w) < 300:
+        x = rng.randint(low, mx + 1)
+        if x > mx:
+            mx = x
+        else:
+            low = x
+        w.append(x)
+    assert av321_to_rgf(rgf_to_av321(w)) == tuple(w)

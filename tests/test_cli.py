@@ -180,6 +180,13 @@ def test_out_flag(tmp_path, capsys):
     assert target.read_text() == "true\n"
 
 
+def test_out_flag_unwritable(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "report.txt", tmp_path):
+        code, out, err = run(capsys, "sortable", "--perm", "2413", "--out", str(target))
+        assert (code, out) == (2, "") and err.startswith("error: "), target
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_usage_errors(capsys):
     code, _, _ = run(capsys, "simulate", "--perm", "not a perm")
     assert code == 2
@@ -191,6 +198,9 @@ def test_usage_errors(capsys):
     assert (code, out) == (2, "") and err.startswith("error: ")
     code, out, err = run(capsys, "table", "a007317", "--n", "-3")
     assert (code, out) == (2, "") and err.startswith("error: ")
+    for path in ("", "   "):
+        code, out, err = run(capsys, "map", "psi-inverse", "--path", path)
+        assert (code, out) == (2, "") and err.startswith("error: "), path
     # --pattern is refused where it would be ignored
     for argv in (
         ("enumerate", "sortable", "--n", "3", "--pattern", "12"),

@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+from patternsort.checks import _check_perm_fast_patterns
 from patternsort.errors import InvalidInputError
 from patternsort.perms import (
     MU,
@@ -131,6 +132,11 @@ def test_mesh_vs_predicate_exhaustive():
     for n in range(1, 7):
         for p in all_perms(n):
             assert contains_mesh(p, MU) == mu_predicate(p), p
+
+
+def test_fast_scans_match_contains_classical():
+    # test_checks runs the registry at nmax 4; the scans need longer words
+    _check_perm_fast_patterns(7)
 
 
 def test_ltr_extrema():

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from patternsort.checks import _check_rgf_fast_patterns
 from patternsort.errors import InvalidInputError, ResourceLimitError
 from patternsort.rgf import (
     DEFAULT_RGF_CAP,
@@ -73,6 +74,11 @@ def test_rgf_contains():
     ) is True
     with pytest.raises(InvalidInputError):
         rgf_contains((1, 2), ())
+
+
+def test_fast_scans_match_rgf_contains():
+    # test_checks runs the registry at nmax 4, too short for 12323 and 12332
+    _check_rgf_fast_patterns(8)
 
 
 def test_counts_are_bell():
