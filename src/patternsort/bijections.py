@@ -15,7 +15,7 @@ from .errors import InsertRejected, InvalidInputError, MalformedInputError
 from .grid import GrowthState
 from .machine import is_sigma_sortable
 from .paths import (
-    dyck_parent,
+    _peel,
     final_descent_length,
     validate_dyck,
     validate_labeled_motzkin,
@@ -115,9 +115,8 @@ def dyck_path_to_rgf(path: str) -> Rgf:
     cur = path
     while cur:
         s = final_descent_length(cur)
-        parent = dyck_parent(cur)
-        pairs.append((s, final_descent_length(parent)))
-        cur = parent
+        cur = _peel(cur)
+        pairs.append((s, final_descent_length(cur)))
 
     word: list[int] = []
     mx = 0
@@ -193,8 +192,8 @@ def rgf_to_labeled_motzkin(
 
     A 1 is H1; a first occurrence is U when the value recurs and H0 when
     it does not; a later occurrence is H2 when the value recurs again
-    and D when it is the last.  The result is replayed forward as a
-    defensive consistency check.
+    and D when it is the last.  The path is mapped back with
+    labeled_motzkin_to_rgf as a defensive consistency check.
     """
     _check_mode(mode)
     r = validate(word)
@@ -211,47 +210,22 @@ def rgf_to_labeled_motzkin(
     if r[0] != 1:
         raise InvalidInputError("word must start with 1")
 
-    last = {}
-    first = {}
-    for i, v in enumerate(r):
-        last[v] = i
-        first.setdefault(v, i)
-
+    last = {v: i for i, v in enumerate(r)}
     steps: list[str] = []
-    for i, v in enumerate(r):
-        if i == 0:
-            continue
+    mx = 1
+    for i in range(1, len(r)):
+        v = r[i]
         if v == 1:
             steps.append("H1")
-        elif first[v] == i:
+        elif v > mx:  # on an RGF, a first occurrence is a new maximum
+            mx = v
             steps.append("U" if last[v] > i else "H0")
         else:
             steps.append("H2" if last[v] > i else "D")
 
-    # replay; a mismatch means the classification cannot be realized
-    store: list[int] = []
-    check = [1]
-    mx = 1
-    for step in steps:
-        if step == "U":
-            mx += 1
-            check.append(mx)
-            store.append(mx)
-        elif step == "D":
-            if not store:
-                raise MalformedInputError("D with nothing stored")
-            check.append(store.pop() if mode == "stack" else store.pop(0))
-        elif step == "H0":
-            mx += 1
-            check.append(mx)
-        elif step == "H1":
-            check.append(1)
-        else:
-            if not store:
-                raise MalformedInputError("H2 with nothing stored")
-            check.append(store[-1] if mode == "stack" else store[0])
-    if tuple(check) != r:
-        raise MalformedInputError(f"replay of {r} diverged at {tuple(check)}")
+    back = labeled_motzkin_to_rgf(steps, mode)
+    if back != r:
+        raise MalformedInputError(f"replay of {r} diverged at {back}")
     return tuple(steps)
 
 

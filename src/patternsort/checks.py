@@ -71,10 +71,6 @@ class _Fail(Exception):
         super().__init__(counterexample)
 
 
-def _sortable_sets(nmax: int) -> dict[int, list[Perm]]:
-    return {n: machine.enumerate_sortable(n, (1, 3, 2)) for n in range(1, nmax + 1)}
-
-
 # -- machine scope ---------------------------------------------------------
 
 def _check_sortable_counts_132(nmax: int) -> str:

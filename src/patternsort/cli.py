@@ -10,35 +10,15 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from . import bijections, checks, grid, machine, paths, rgf, sequences
 from .errors import InvalidInputError, MalformedInputError, ResourceLimitError
-from .perms import format_perm, ltr_minima, parse_perm
+from .perms import format_perm, ltr_minima, parse_perm, parse_word
 from .rgf import format_rgf
 
 ENV_CAP = "PATTERNSORT_CAP"
 SCHEMA = 1
-
-
-def _parse_word(text: str) -> tuple[int, ...]:
-    """Positive-integer word: spaced, comma-separated, or compact digits."""
-    s = text.strip().replace(",", " ")
-    if not s:
-        raise InvalidInputError("empty word")
-    if " " in s:
-        parts = s.split()
-    elif s.isdigit():
-        parts = list(s)
-    else:
-        raise InvalidInputError(f"cannot parse word {text!r}")
-    try:
-        word = tuple(int(t) for t in parts)
-    except ValueError as exc:
-        raise InvalidInputError(f"cannot parse word {text!r}") from exc
-    if any(v < 1 for v in word):
-        raise InvalidInputError("word letters must be positive")
-    return word
 
 
 def _effective_cap(args: argparse.Namespace, default: int) -> int:
@@ -114,8 +94,8 @@ def _do_enumerate(args) -> tuple[str, int]:
         items = [format_perm(p) for p in perms]
     elif kind == "rgf":
         cap = _effective_cap(args, rgf.DEFAULT_RGF_CAP)
-        if args.pattern:
-            words = rgf.enumerate_avoiders(n, _parse_word(args.pattern), cap)
+        if args.pattern is not None:
+            words = rgf.enumerate_avoiders(n, parse_word(args.pattern), cap)
         else:
             words = rgf.enumerate_rgfs(n, cap)
         items = [format_rgf(w) for w in words]
@@ -163,6 +143,95 @@ def _do_decompose(args) -> tuple[str, int]:
     return "\n".join(lines), 0
 
 
+def _parse_dyck(text: str) -> str:
+    path = text.strip()
+    if not path:
+        raise InvalidInputError("empty Dyck path")
+    return path
+
+
+class _Kind(NamedTuple):
+    """One kind of map input or output: its flag, parser and formatter."""
+
+    flag: str
+    parse: Callable[[str], Any]
+    show: Callable[[Any], str]
+
+
+_KINDS = {
+    "perm": _Kind("--perm", parse_perm, format_perm),
+    "rgf": _Kind("--rgf", parse_word, format_rgf),
+    "dyck": _Kind("--path", _parse_dyck, str),
+    "steps": _Kind("--path", paths.parse_steps, paths.format_steps),
+}
+
+
+def _sortable_stats(side: dict) -> dict:
+    return {"ltr_minima": len(ltr_minima(side["perm"]))}
+
+
+def _dyck_stats(side: dict) -> dict:
+    return {"double_rises": paths.double_rises(side["dyck"])}
+
+
+def _motzkin_stats(side: dict) -> dict:
+    return {s: side["steps"].count(s) for s in paths.LABELED_STEPS}
+
+
+class _Map(NamedTuple):
+    """One map: its input and output kinds, the library call, statistics.
+
+    ``call(input, args)`` returns the output, or (output, swap steps) when
+    ``swaps`` is set.  The statistics are the maximum letter of the RGF
+    side plus what ``stats`` reads from the two sides, keyed by kind.
+    """
+
+    src: str
+    dst: str
+    call: Callable[[Any, argparse.Namespace], Any]
+    stats: Callable[[dict], dict] | None = None
+    swaps: bool = False
+
+
+_MAPS = {
+    "phi": _Map(
+        "perm", "rgf",
+        lambda p, a: bijections.sortable_to_rgf(p, relaxed=a.relaxed),
+        _sortable_stats,
+    ),
+    "phi-inverse": _Map(
+        "rgf", "perm", lambda r, a: bijections.rgf_to_sortable(r), _sortable_stats
+    ),
+    "psi": _Map(
+        "rgf", "dyck", lambda r, a: bijections.rgf_to_dyck_path(r), _dyck_stats
+    ),
+    "psi-inverse": _Map(
+        "dyck", "rgf", lambda d, a: bijections.dyck_path_to_rgf(d), _dyck_stats
+    ),
+    "beta": _Map(
+        "steps", "rgf",
+        lambda s, a: bijections.labeled_motzkin_to_rgf(s, a.mode, reduced=a.reduced),
+        _motzkin_stats,
+    ),
+    "beta-inverse": _Map(
+        "rgf", "steps",
+        lambda r, a: bijections.rgf_to_labeled_motzkin(r, a.mode, reduced=a.reduced),
+        _motzkin_stats,
+    ),
+    "nr-to-av321": _Map("rgf", "perm", lambda r, a: bijections.rgf_to_av321(r)),
+    "av321-to-nr": _Map("perm", "rgf", lambda p, a: bijections.av321_to_rgf(p)),
+    "gamma": _Map(
+        "rgf", "rgf",
+        lambda r, a: bijections.to_12321_avoider(r, with_steps=True),
+        swaps=True,
+    ),
+    "gamma-inverse": _Map(
+        "rgf", "rgf",
+        lambda r, a: bijections.to_12231_avoider(r, with_steps=True),
+        swaps=True,
+    ),
+}
+
 _MAP_ALIASES = {
     "sortable-to-rgf": "phi",
     "rgf-to-sortable": "phi-inverse",
@@ -176,112 +245,36 @@ _MAP_ALIASES = {
     "to-12231": "gamma-inverse",
 }
 
-MAP_NAMES = tuple(
-    sorted(
-        {
-            "phi",
-            "phi-inverse",
-            "psi",
-            "psi-inverse",
-            "beta",
-            "beta-inverse",
-            "nr-to-av321",
-            "av321-to-nr",
-            "gamma",
-            "gamma-inverse",
-            *_MAP_ALIASES,
-        }
-    )
-)
-
-
-def _path_stats(steps: Sequence[str]) -> dict:
-    return {s: sum(1 for t in steps if t == s) for s in paths.LABELED_STEPS}
+MAP_NAMES = tuple(sorted({*_MAPS, *_MAP_ALIASES}))
 
 
 def _do_map(args) -> tuple[str, int]:
-    name = _MAP_ALIASES.get(args.name, args.name)
-    steps_doc = None
-
-    if name == "phi":
-        p = parse_perm(_require(args, "--perm", f"map {args.name}"))
-        r = bijections.sortable_to_rgf(p, relaxed=args.relaxed)
-        out_text = format_rgf(r)
-        stats = {"max": max(r), "ltr_minima": len(ltr_minima(p))}
-        in_text = format_perm(p)
-    elif name == "phi-inverse":
-        r = _parse_word(_require(args, "--rgf", f"map {args.name}"))
-        p = bijections.rgf_to_sortable(r)
-        out_text = format_perm(p)
-        stats = {"max": max(r), "ltr_minima": len(ltr_minima(p))}
-        in_text = format_rgf(tuple(r))
-    elif name == "psi":
-        r = _parse_word(_require(args, "--rgf", f"map {args.name}"))
-        path = bijections.rgf_to_dyck_path(r)
-        out_text = path
-        stats = {"max": max(r), "double_rises": paths.double_rises(path)}
-        in_text = format_rgf(tuple(r))
-    elif name == "psi-inverse":
-        path = _require(args, "--path", f"map {args.name}").strip()
-        if not path:
-            raise InvalidInputError("empty Dyck path")
-        r = bijections.dyck_path_to_rgf(path)
-        out_text = format_rgf(r)
-        stats = {"max": max(r), "double_rises": paths.double_rises(path)}
-        in_text = path
-    elif name == "beta":
-        steps = paths.parse_steps(_require(args, "--path", f"map {args.name}"))
-        r = bijections.labeled_motzkin_to_rgf(steps, args.mode, reduced=args.reduced)
-        out_text = format_rgf(r)
-        stats = {"max": max(r), **_path_stats(steps)}
-        in_text = paths.format_steps(steps)
-    elif name == "beta-inverse":
-        r = _parse_word(_require(args, "--rgf", f"map {args.name}"))
-        steps = bijections.rgf_to_labeled_motzkin(r, args.mode, reduced=args.reduced)
-        out_text = paths.format_steps(steps)
-        stats = {"max": max(r), **_path_stats(steps)}
-        in_text = format_rgf(tuple(r))
-    elif name == "nr-to-av321":
-        r = _parse_word(_require(args, "--rgf", f"map {args.name}"))
-        p = bijections.rgf_to_av321(r)
-        out_text = format_perm(p)
-        stats = {"max": max(r)}
-        in_text = format_rgf(tuple(r))
-    elif name == "av321-to-nr":
-        p = parse_perm(_require(args, "--perm", f"map {args.name}"))
-        r = bijections.av321_to_rgf(p)
-        out_text = format_rgf(r)
-        stats = {"max": max(r)}
-        in_text = format_perm(p)
-    elif name == "gamma":
-        r = _parse_word(_require(args, "--rgf", f"map {args.name}"))
-        out, swap_steps = bijections.to_12321_avoider(r, with_steps=True)
-        out_text = format_rgf(out)
-        stats = {"max": max(out) if out else 0, "swaps": len(swap_steps)}
-        steps_doc = [list(t) for t in swap_steps]
-        in_text = format_rgf(tuple(r))
-    elif name == "gamma-inverse":
-        r = _parse_word(_require(args, "--rgf", f"map {args.name}"))
-        out, swap_steps = bijections.to_12231_avoider(r, with_steps=True)
-        out_text = format_rgf(out)
-        stats = {"max": max(out) if out else 0, "swaps": len(swap_steps)}
-        steps_doc = [list(t) for t in swap_steps]
-        in_text = format_rgf(tuple(r))
-    else:
-        raise InvalidInputError(f"unknown map {args.name!r}")
-
-    if args.json:
-        doc = {
-            "schema": SCHEMA,
-            "map": args.name,
-            "input": in_text,
-            "output": out_text,
-            "statistics": stats,
-        }
-        if args.steps and steps_doc is not None:
-            doc["steps"] = steps_doc
-        return json.dumps(doc, indent=2), 0
-    return out_text, 0
+    m = _MAPS[_MAP_ALIASES.get(args.name, args.name)]
+    src, dst = _KINDS[m.src], _KINDS[m.dst]
+    x = src.parse(_require(args, src.flag, f"map {args.name}"))
+    y = m.call(x, args)
+    swaps = None
+    if m.swaps:
+        y, swaps = y
+    out_text = dst.show(y)
+    if not args.json:
+        return out_text, 0
+    side = {m.src: x, m.dst: y}  # gamma keeps the letters, so either RGF will do
+    stats = {"max": max(side["rgf"], default=0)}
+    if m.stats:
+        stats.update(m.stats(side))
+    if swaps is not None:
+        stats["swaps"] = len(swaps)
+    doc = {
+        "schema": SCHEMA,
+        "map": args.name,
+        "input": src.show(x),
+        "output": out_text,
+        "statistics": stats,
+    }
+    if args.steps and swaps is not None:
+        doc["steps"] = [list(t) for t in swaps]
+    return json.dumps(doc, indent=2), 0
 
 
 def _do_verify(args) -> tuple[str, int]:
@@ -345,7 +338,7 @@ def _table_rows(args) -> tuple[str, list[tuple[int, int]], int]:
                 status = 1
     elif kind == "rgf-max":
         cap = _effective_cap(args, rgf.DEFAULT_RGF_CAP)
-        pattern = _parse_word(args.pattern) if args.pattern else (1, 2, 3, 3, 2)
+        pattern = (1, 2, 3, 3, 2) if args.pattern is None else parse_word(args.pattern)
         dist = rgf.max_distribution(n, pattern, cap)
         header = "max,count"
         rows = [(k, dist.get(k, 0)) for k in range(1, n + 1)]

@@ -51,12 +51,6 @@ class GridDecomposition:
     def hstrip(self, i: int) -> Perm:
         return self.hstrips[i - 1]
 
-    def std_cell(self, i: int, j: int) -> Perm:
-        return standardize(self.cell(i, j))
-
-    def std_block(self, j: int) -> Perm:
-        return standardize(self.block(j))
-
     def std_hstrip(self, i: int) -> Perm:
         return standardize(self.hstrip(i))
 
@@ -344,20 +338,6 @@ def insert_min(pi: Iterable[int], i: int) -> Perm:
 def insert_cons(pi: Iterable[int], i: int) -> Perm:
     """Append the successor of the last element of cell (i, k)."""
     return _state(pi).insert(i, "cons").perm
-
-
-def insert(pi: Iterable[int], kind: InsertionKind) -> Perm:
-    if kind.kind == "new-min":
-        return insert_new_minimum(pi)
-    if kind.kind == "min":
-        if kind.cell is None:
-            raise InvalidInputError("min insertion needs a cell index")
-        return insert_min(pi, kind.cell)
-    if kind.kind == "cons":
-        if kind.cell is None:
-            raise InvalidInputError("cons insertion needs a cell index")
-        return insert_cons(pi, kind.cell)
-    raise InvalidInputError(f"unknown insertion kind {kind.kind!r}")
 
 
 def children(pi: Iterable[int]) -> list[tuple[InsertionKind, Perm]]:

@@ -74,19 +74,6 @@ def format_steps(steps: Sequence[str]) -> str:
     return "".join(steps)
 
 
-def heights(steps: Sequence[str]) -> list[int]:
-    """Height after each step (horizontal steps keep the height)."""
-    out = []
-    h = 0
-    for t in steps:
-        if t == "U":
-            h += 1
-        elif t == "D":
-            h -= 1
-        out.append(h)
-    return out
-
-
 def is_motzkin(steps: Sequence[str]) -> bool:
     h = 0
     for t in steps:
@@ -144,11 +131,20 @@ def enumerate_dyck(semilength: int, cap: int = DEFAULT_PATH_CAP) -> Iterator[str
     yield from extend("", 0, 0)
 
 
-def enumerate_motzkin(length: int, cap: int = DEFAULT_PATH_CAP) -> Iterator[tuple[str, ...]]:
+def _walk(
+    length: int, cap: int, what: str, alphabet: Sequence[tuple[str, bool]]
+) -> Iterator[tuple[str, ...]]:
+    """Paths of the given length over (step, needs height >= 1) pairs.
+
+    U rises, D falls and every other step is horizontal; paths come out
+    in the lexicographic order of the alphabet as given.
+    """
     if length < 0:
         raise InvalidInputError("length must be nonnegative")
     if length > cap:
-        raise ResourceLimitError(f"refusing Motzkin enumeration at length {length} (cap {cap})")
+        raise ResourceLimitError(
+            f"refusing {what} enumeration at length {length} (cap {cap})"
+        )
 
     steps: list[str] = []
 
@@ -160,46 +156,29 @@ def enumerate_motzkin(length: int, cap: int = DEFAULT_PATH_CAP) -> Iterator[tupl
             return
         if h > rest:  # can no longer return to zero
             return
-        for t in ("D", "H", "U"):
-            if t == "D" and h == 0:
+        for t, lifted in alphabet:
+            if lifted and h == 0:
                 continue
             steps.append(t)
             yield from extend(h + (t == "U") - (t == "D"))
             steps.pop()
 
     yield from extend(0)
+
+
+def enumerate_motzkin(length: int, cap: int = DEFAULT_PATH_CAP) -> Iterator[tuple[str, ...]]:
+    yield from _walk(length, cap, "Motzkin", (("D", True), ("H", False), ("U", False)))
 
 
 def enumerate_labeled_motzkin(
     length: int, cap: int = DEFAULT_LABELED_CAP
 ) -> Iterator[tuple[str, ...]]:
-    if length < 0:
-        raise InvalidInputError("length must be nonnegative")
-    if length > cap:
-        raise ResourceLimitError(
-            f"refusing labeled Motzkin enumeration at length {length} (cap {cap})"
-        )
-
-    steps: list[str] = []
-
-    def extend(h: int) -> Iterator[tuple[str, ...]]:
-        rest = length - len(steps)
-        if rest == 0:
-            if h == 0:
-                yield tuple(steps)
-            return
-        if h > rest:
-            return
-        for t in LABELED_STEPS:
-            if t == "D" and h == 0:
-                continue
-            if t == "H2" and h == 0:
-                continue
-            steps.append(t)
-            yield from extend(h + (t == "U") - (t == "D"))
-            steps.pop()
-
-    yield from extend(0)
+    yield from _walk(
+        length,
+        cap,
+        "labeled Motzkin",
+        (("U", False), ("D", True), ("H0", False), ("H1", False), ("H2", True)),
+    )
 
 
 def double_rises(path: str) -> int:
@@ -237,6 +216,10 @@ def dyck_parent(path: str) -> str:
     validate_dyck(path)
     if not path:
         raise InvalidInputError("the empty path has no parent")
-    r = final_descent_length(path)
-    idx = len(path) - r  # first D of the final descent; path[idx-1] is its U
+    return _peel(path)
+
+
+def _peel(path: str) -> str:
+    """dyck_parent of a nonempty path already known to be a Dyck path."""
+    idx = len(path) - final_descent_length(path)  # path[idx-1] is its U
     return path[: idx - 1] + path[idx + 1 :]

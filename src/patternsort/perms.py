@@ -39,24 +39,33 @@ def as_perm(w: Iterable[int]) -> Perm:
     return t
 
 
-def parse_perm(text: str) -> Perm:
-    """Parse a permutation from text.
+def parse_word(text: str) -> tuple[int, ...]:
+    """Read a word of positive integers from text.
 
-    Accepts whitespace- or comma-separated entries ("3 1 2", "3,1,2") and,
-    for entries all below ten, a compact digit string ("312").
+    Whitespace (spaces, tabs) and commas separate letters ("3 1 2",
+    "3,1,2"); text with neither is read as compact digits ("312").  Text
+    with no letter, a letter that is not an integer, or a letter below 1
+    raises InvalidInputError.
     """
     s = text.strip()
-    if not s:
-        raise InvalidInputError("empty permutation text")
     if "," in s or any(c.isspace() for c in s):
         parts = s.replace(",", " ").split()
     else:
         parts = list(s)
+    if not parts:
+        raise InvalidInputError(f"no letter in {text!r}")
     try:
-        vals = tuple(int(p) for p in parts)
+        word = tuple(int(p) for p in parts)
     except ValueError as exc:
-        raise InvalidInputError(f"cannot parse permutation from {text!r}") from exc
-    return as_perm(vals)
+        raise InvalidInputError(f"cannot parse word {text!r}") from exc
+    if min(word) < 1:
+        raise InvalidInputError(f"word letters must be positive: {text!r}")
+    return word
+
+
+def parse_perm(text: str) -> Perm:
+    """Parse a permutation written as a word (see :func:`parse_word`)."""
+    return as_perm(parse_word(text))
 
 
 def format_perm(p: Perm) -> str:
@@ -266,49 +275,6 @@ def ltr_minima(w: Perm) -> list[tuple[int, int]]:
     return out
 
 
-def ltr_maxima(w: Perm) -> list[tuple[int, int]]:
-    """Left-to-right maxima as (position, value), 1-based positions."""
-    out: list[tuple[int, int]] = []
-    cur = None
-    for i, v in enumerate(w, start=1):
-        if cur is None or v > cur:
-            out.append((i, v))
-            cur = v
-    return out
-
-
-class DescentData(NamedTuple):
-    """Adjacent value pairs (w_i, w_{i+1}), split four ways.
-
-    A descent (a, b) has a > b; it is consecutive when b == a - 1.
-    An ascent (a, b) has a < b; it is consecutive when b == a + 1.
-    """
-
-    descents: tuple[tuple[int, int], ...]
-    consecutive_descents: tuple[tuple[int, int], ...]
-    ascents: tuple[tuple[int, int], ...]
-    consecutive_ascents: tuple[tuple[int, int], ...]
-
-
-def descents_ascents(w: Perm) -> DescentData:
-    des, cdes, asc, casc = [], [], [], []
-    for a, b in zip(w, w[1:]):
-        if a > b:
-            des.append((a, b))
-            if b == a - 1:
-                cdes.append((a, b))
-        else:
-            asc.append((a, b))
-            if b == a + 1:
-                casc.append((a, b))
-    return DescentData(tuple(des), tuple(cdes), tuple(asc), tuple(casc))
-
-
-def ltr_extrema(w: Perm) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """(left-to-right minima, left-to-right maxima), each as (position, value)."""
-    return ltr_minima(w), ltr_maxima(w)
-
-
 def complement(w: Perm) -> Perm:
     n = len(w)
     return tuple(n + 1 - v for v in w)
@@ -316,16 +282,6 @@ def complement(w: Perm) -> Perm:
 
 def reverse(w: Perm) -> Perm:
     return tuple(reversed(w))
-
-
-def direct_sum(a: Perm, b: Perm) -> Perm:
-    """a with b appended above it: 213 (+) 21 = 21354."""
-    return tuple(a) + tuple(v + len(a) for v in b)
-
-
-def skew_sum(a: Perm, b: Perm) -> Perm:
-    """a lifted above b, then b: 213 (-) 21 = 43521."""
-    return tuple(v + len(b) for v in a) + tuple(b)
 
 
 def is_layered(w: Perm) -> bool:
@@ -354,11 +310,6 @@ def is_layered(w: Perm) -> bool:
 def _is_layered_by_avoidance(w: Perm) -> bool:
     # cross-check route kept private; tests compare against is_layered
     return avoids(w, (2, 3, 1), (3, 1, 2))
-
-
-def is_colayered(w: Perm) -> bool:
-    """Complement of a layered permutation; avoids 213 and 132."""
-    return is_layered(complement(w))
 
 
 def all_perms(n: int) -> Iterator[Perm]:

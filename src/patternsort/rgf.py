@@ -45,22 +45,6 @@ def validate(seq: Iterable[int]) -> Rgf:
     return t
 
 
-def parse_rgf(text: str) -> Rgf:
-    """Parse "12132" or "1 2 1 3 2" (also comma-separated)."""
-    s = text.strip()
-    if not s:
-        raise InvalidInputError("empty word text")
-    if "," in s or any(c.isspace() for c in s):
-        parts = s.replace(",", " ").split()
-    else:
-        parts = list(s)
-    try:
-        vals = tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise InvalidInputError(f"cannot parse word from {text!r}") from exc
-    return validate(vals)
-
-
 def format_rgf(word: Sequence[int]) -> str:
     if word and max(word) > 9:
         return " ".join(str(v) for v in word)
@@ -221,11 +205,6 @@ def partition_to_rgf(blocks: Iterable[Iterable[int]]) -> Rgf:
     if sorted(letter_of) != list(range(1, n + 1)):
         raise InvalidInputError("blocks do not cover 1..n")
     return validate(letter_of[i] for i in range(1, n + 1))
-
-
-def format_partition(blocks: Iterable[Iterable[int]]) -> str:
-    """ASCII block form: 12134435367 -> "13-2-479-56-8-10-11"."""
-    return "-".join("".join(str(x) for x in sorted(b)) for b in blocks)
 
 
 def w_subword(word: Sequence[int]) -> tuple[int, ...]:

@@ -72,8 +72,9 @@ def test_map_phi_golden(capsys):
 def test_map_names_and_aliases(capsys):
     code, out, _ = run(capsys, "map", "sortable-to-rgf", "--perm", "2 1")
     assert (code, out) == (0, "12\n")
-    code, out, _ = run(capsys, "map", "phi-inverse", "--rgf", "12")
-    assert (code, out) == (0, "2 1\n")
+    for text in ("12", "1 2", "1,2", "1\t2"):
+        code, out, _ = run(capsys, "map", "phi-inverse", "--rgf", text)
+        assert (code, out) == (0, "2 1\n"), text
     code, out, _ = run(capsys, "map", "psi", "--rgf", "121")
     assert (code, out) == (0, "UUDUDD\n")
     code, out, _ = run(capsys, "map", "psi-inverse", "--path", "UUDUDD")
@@ -106,6 +107,17 @@ def test_map_json_record(capsys):
     assert doc["output"] == "12231"
     assert doc["statistics"]["max"] == 3
     assert doc["steps"] == [[3, 4, 5]]
+    # each map reads its statistics from the right side
+    for argv, stats in (
+        (("phi", "--perm", "2 3 1"), {"max": 2, "ltr_minima": 2}),
+        (("psi-inverse", "--path", "UUDUDD"), {"max": 2, "double_rises": 1}),
+        (
+            ("beta-inverse", "--rgf", "12134435367"),
+            {"max": 7, "U": 2, "D": 2, "H0": 4, "H1": 1, "H2": 1},
+        ),
+    ):
+        code, out, _ = run(capsys, "map", *argv, "--json")
+        assert (code, json.loads(out)["statistics"]) == (0, stats), argv
 
 
 def test_map_missing_input_is_usage_error(capsys):
@@ -210,6 +222,25 @@ def test_usage_errors(capsys):
         ("table", "a007317", "--n", "3", "--pattern", "12"),
         ("table", "narayana", "--n", "3", "--pattern", "12"),
         ("table", "sortable-by-minima", "--n", "3", "--pattern", "12"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error: "), argv
+    # a word with no letter is refused by every verb that reads one
+    for argv in (
+        ("map", "psi", "--rgf", ","),
+        ("map", "phi-inverse", "--rgf", ","),
+        ("map", "nr-to-av321", "--rgf", ","),
+        ("map", "gamma", "--rgf", ","),
+        ("map", "phi", "--perm", ","),
+        ("map", "av321-to-nr", "--perm", ","),
+        ("map", "beta-inverse", "--rgf", " , "),
+        ("map", "gamma-inverse", "--rgf", "\t,\t"),
+        ("simulate", "--perm", ","),
+        ("sortable", "--perm", ","),
+        ("export", "trace", "--perm", ","),
+        ("enumerate", "rgf", "--n", "3", "--pattern", " , "),
+        ("enumerate", "rgf", "--n", "3", "--pattern", ""),
+        ("table", "rgf-max", "--n", "3", "--pattern", ""),
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "") and err.startswith("error: "), argv

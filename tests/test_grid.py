@@ -10,13 +10,11 @@ from patternsort.grid import (
     children,
     decompose,
     generate_sortable,
-    insert,
     insert_cons,
     insert_min,
     insert_new_minimum,
     minima_distribution,
     structural_check,
-    InsertionKind,
 )
 from patternsort.machine import enumerate_sortable, is_sigma_sortable
 from patternsort.perms import all_perms, standardize
@@ -109,11 +107,6 @@ def test_insertion_small_examples():
     with pytest.raises(InsertRejected) as e:
         insert_cons((2, 1), 1)
     assert e.value.reason == "empty-cell"
-
-
-def test_insert_dispatch():
-    assert insert((1,), InsertionKind("new-min")) == (2, 1)
-    assert insert((1, 2), InsertionKind("cons", 1)) == (1, 2, 3)
 
 
 def test_children_count_and_legality():

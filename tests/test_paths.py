@@ -12,7 +12,6 @@ from patternsort.paths import (
     enumerate_motzkin,
     final_descent_length,
     format_steps,
-    heights,
     is_dyck,
     is_motzkin,
     parse_steps,
@@ -28,10 +27,6 @@ def test_is_dyck():
     assert not is_dyck("DU")
     assert not is_dyck("UDD")
     assert not is_dyck("UDU")
-
-
-def test_heights():
-    assert heights("UUDD") == [1, 2, 1, 0]
 
 
 def test_parse_steps():

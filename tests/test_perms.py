@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from patternsort.checks import _check_perm_fast_patterns
 from patternsort.errors import InvalidInputError
+from patternsort.grid import _is_colayered_word
 from patternsort.perms import (
     MU,
     MeshPattern,
@@ -14,21 +15,16 @@ from patternsort.perms import (
     complement,
     contains_classical,
     contains_mesh,
-    descents_ascents,
-    direct_sum,
     first_occurrence,
     format_perm,
-    is_colayered,
     is_layered,
     is_perm,
-    ltr_extrema,
-    ltr_maxima,
     ltr_minima,
     mu_predicate,
     occurrence_of,
     parse_perm,
+    parse_word,
     reverse,
-    skew_sum,
     standardize,
     _is_layered_by_avoidance,
 )
@@ -47,6 +43,16 @@ def test_is_perm():
     assert not is_perm((2, True))
     with pytest.raises(InvalidInputError):
         as_perm((True,))
+
+
+def test_parse_word():
+    for text in ("2 4 1 3", "2,4,1,3", "2, 4 ,1,3", "2\t4\t1\t3", " 2413 ", "+2 4 1 3"):
+        assert parse_word(text) == (2, 4, 1, 3), text
+    assert parse_word("1 1 10") == (1, 1, 10)
+    assert parse_word("1121") == (1, 1, 2, 1)
+    for text in ("", " ", ",", " , ", "\t,\t", "1 2 x", "1a", "1.5", "0", "1 -2", "10"):
+        with pytest.raises(InvalidInputError):
+            parse_word(text)
 
 
 def test_parse_perm_forms():
@@ -140,18 +146,7 @@ def test_fast_scans_match_contains_classical():
 
 
 def test_ltr_extrema():
-    p = (3, 4, 1, 7, 6, 2, 5)
-    assert ltr_minima(p) == [(1, 3), (3, 1)]
-    assert ltr_maxima(p) == [(1, 3), (2, 4), (4, 7)]
-    assert ltr_extrema(p) == (ltr_minima(p), ltr_maxima(p))
-
-
-def test_descents_ascents_worked_example():
-    d = descents_ascents((3, 4, 1, 7, 6, 2, 5))
-    assert set(d.descents) == {(4, 1), (7, 6), (6, 2)}
-    assert d.consecutive_descents == ((7, 6),)
-    assert set(d.ascents) == {(3, 4), (1, 7), (2, 5)}
-    assert d.consecutive_ascents == ((3, 4),)
+    assert ltr_minima((3, 4, 1, 7, 6, 2, 5)) == [(1, 3), (3, 1)]
 
 
 def test_symmetries():
@@ -159,8 +154,6 @@ def test_symmetries():
     assert complement(p) == (3, 1, 4, 2)
     assert reverse(p) == (3, 1, 4, 2)
     assert complement(complement(p)) == p
-    assert direct_sum((1,), (2, 1)) == (1, 3, 2)
-    assert skew_sum((1,), (2, 1)) == (3, 2, 1)
 
 
 @given(perm_lists)
@@ -176,6 +169,7 @@ def test_layered_counts():
 
 
 def test_colayered_is_layered_complement():
+    # the colayered test of the grid's structural check
     for n in range(1, 6):
         for p in all_perms(n):
-            assert is_colayered(p) == is_layered(complement(p))
+            assert _is_colayered_word(p) == is_layered(complement(p))

@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from patternsort.checks import _check_rgf_fast_patterns
 from patternsort.errors import InvalidInputError, ResourceLimitError
+from patternsort.perms import parse_word
 from patternsort.rgf import (
     DEFAULT_RGF_CAP,
     active_sites_1221,
@@ -10,12 +11,10 @@ from patternsort.rgf import (
     all_words_standardized,
     enumerate_avoiders,
     enumerate_rgfs,
-    format_partition,
     format_rgf,
     is_rgf,
     is_weakly_increasing,
     max_distribution,
-    parse_rgf,
     partition_to_rgf,
     repeated_ltr_maxima,
     rgf_avoids,
@@ -51,12 +50,12 @@ def test_validate_reports_position():
 
 
 def test_parse_format():
-    assert parse_rgf("111223332345445") == (1,1,1,2,2,3,3,3,2,3,4,5,4,4,5)
-    assert parse_rgf("1 2 1 3") == (1, 2, 1, 3)
+    assert parse_word("111223332345445") == (1,1,1,2,2,3,3,3,2,3,4,5,4,4,5)
+    assert parse_word("1 2 1 3") == (1, 2, 1, 3)
     assert format_rgf((1, 2, 1)) == "121"
     big = validate(tuple(range(1, 11)))
     assert " " in format_rgf(big)
-    assert parse_rgf(format_rgf(big)) == big
+    assert parse_word(format_rgf(big)) == big
 
 
 def test_word_standardize():
@@ -111,7 +110,6 @@ def test_partition_duality():
     word = (1, 2, 1, 3, 2)
     blocks = rgf_to_partition(word)
     assert blocks == ((1, 3), (2, 5), (4,))
-    assert format_partition(blocks) == "13-25-4"
     assert partition_to_rgf(blocks) == word
 
 
