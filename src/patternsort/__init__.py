@@ -21,7 +21,6 @@ from .machine import (
     is_sigma_sortable,
     s_sigma,
     sigma_stack_pass,
-    sortable_counts,
     stacksort,
     verify_characterizations,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "is_sigma_sortable",
     "s_sigma",
     "sigma_stack_pass",
-    "sortable_counts",
     "stacksort",
     "verify_characterizations",
     "decompose",

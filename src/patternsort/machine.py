@@ -162,13 +162,6 @@ def enumerate_sortable(
     return [p for p in permutations(range(1, n + 1)) if is_sigma_sortable(p, s)]
 
 
-def sortable_counts(
-    nmax: int, sigma: Iterable[int] = (1, 3, 2), cap: int = DEFAULT_PERM_CAP
-) -> list[int]:
-    """[|Sort_1|, ..., |Sort_nmax|] for the given control pattern."""
-    return [len(enumerate_sortable(n, sigma, cap)) for n in range(1, nmax + 1)]
-
-
 def stack_shape_check(pi: Iterable[int], cap: int = DEFAULT_PERM_CAP) -> bool:
     """Verify the stack stays "minima floor + one increasing block" shaped.
 

@@ -154,12 +154,6 @@ def first_occurrence(
     return tuple(chosen) if extend(0) else None
 
 
-def occurrence_of(w: Perm, pattern: Perm) -> tuple[int, ...] | None:
-    """Lex-least occurrence of pattern in w as 1-based positions, or None."""
-    occ = first_occurrence(w, pattern)
-    return None if occ is None else tuple(p + 1 for p in occ)
-
-
 def contains_classical(w: Perm, pattern: Perm) -> bool:
     return first_occurrence(w, pattern) is not None
 

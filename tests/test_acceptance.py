@@ -1,24 +1,22 @@
 """Acceptance gate: the ten headline claims, each reported on one line.
 
-The lines are written past pytest's capture so they show up in any run;
-every criterion is exact (integer equality, set equality, or byte equality).
+Every claim but the goldens is a registry check of ``patternsort.checks``,
+run once at its own exhaustive bound.  The lines are written past pytest's
+capture so they show up in any run; every criterion is exact (integer
+equality, set equality, or byte equality).
 """
 
-import time
-from itertools import permutations as _permutations
+from functools import cache
 
-from patternsort import bijections, grid, machine, paths, rgf, sequences
-from patternsort.perms import (
-    all_perms,
-    avoids,
-    format_perm,
-    ltr_minima,
-    mu_predicate,
-)
-from patternsort.rgf import enumerate_avoiders, format_rgf, rgf_avoids
+from patternsort import bijections
+from patternsort.checks import CheckResult, _REGISTRY
+from patternsort.perms import format_perm
+from patternsort.rgf import format_rgf
 
 WORKED_PERM = (13, 14, 15, 10, 12, 6, 7, 8, 11, 9, 3, 1, 4, 5, 2)
 WORKED_PATH = ("H0", "H1", "U", "U", "D", "H2", "H0", "D", "H0", "H0")
+
+CHECKS = {c.name: c for c in _REGISTRY}
 
 
 def report(capsys, num: int, ok: bool, text: str) -> None:
@@ -28,138 +26,54 @@ def report(capsys, num: int, ok: bool, text: str) -> None:
     assert ok, f"criterion {num} failed: {text}"
 
 
-def test_criterion_01_machine_counts(capsys):
-    t0 = time.perf_counter()
-    got = machine.sortable_counts(8)
-    want = [sequences.a007317(n - 1) for n in range(1, 9)]
-    elapsed = time.perf_counter() - t0
-    ok = got == want == [1, 2, 5, 15, 51, 188, 731, 2950] and elapsed < 60
-    report(capsys, 1, ok, f"brute counts equal the binomial transform, n <= 8 ({elapsed:.1f}s)")
+@cache
+def _result(name: str) -> CheckResult:
+    # criteria 05 and 06 share two checks; each runs once per session
+    check = CHECKS[name]
+    return check.run(check.bound)
 
 
-def test_criterion_02_characterization(capsys):
-    # single pass over each symmetric group; both routes asserted per element
-    for n in range(1, 10):
-        for p in _permutations(range(1, n + 1)):
-            sortable = machine.is_sigma_sortable(p)
-            basis = avoids(p, (2, 3, 1, 4)) and not mu_predicate(p)
-            if sortable != basis:
-                report(capsys, 2, False, f"disagreement at {format_perm(p)}")
-    report(capsys, 2, True, "sortable set equals the classical-plus-mesh basis, n <= 9")
+def _criterion(num: int, *names: str, seconds: float | None = None):
+    """A test that runs the named checks and reports them as one criterion."""
+
+    def test(capsys):
+        results = [_result(name) for name in names]
+        parts = [
+            f"{r.name}: {r.detail}" + ("" if r.passed else f" [{r.counterexample}]")
+            for r in results
+        ]
+        ok = all(r.passed for r in results)
+        elapsed = sum(r.seconds for r in results)
+        if seconds is not None and elapsed >= seconds:
+            ok = False
+            parts.append(f"took {elapsed:.1f}s, limit {seconds:.0f}s")
+        report(capsys, num, ok, "; ".join(parts))
+
+    return test
 
 
-def test_criterion_03_class_law(capsys):
-    for sigma in _permutations((1, 2, 3)):
-        rep = machine.verify_characterizations(7, sigma)
-        if not rep.holds:
-            report(capsys, 3, False, f"sigma {format_perm(sigma)}: {rep.detail}")
-        want_class = sigma == (3, 2, 1)
-        if want_class != (rep.kind == "class"):
-            report(capsys, 3, False, f"sigma {format_perm(sigma)} classified as {rep.kind}")
-    w = machine.witness_non_class((1, 3, 2), 4)
-    ok = w == ((2, 4, 1, 3), (1, 3, 2))
-    report(capsys, 3, ok, "class law holds for S_3 controls with the expected witness pair")
-
-
-def test_criterion_04_generator_equivalence(capsys):
-    for n in range(1, 9):
-        if grid.generate_sortable(n) != machine.enumerate_sortable(n, (1, 3, 2)):
-            report(capsys, 4, False, f"generator mismatch at n={n}")
-    for n in range(1, 8):
-        for p in machine.enumerate_sortable(n, (1, 3, 2)):
-            kids = grid.children(p)
-            if len(kids) != len(grid.active_cells(p)) + 1:
-                report(capsys, 4, False, f"child count off at {format_perm(p)}")
-    report(capsys, 4, True, "recursive generator equals brute force with t+1 children, n <= 8")
-
-
-def test_criterion_05_round_trips(capsys):
-    for n in range(1, 9):
-        for p in machine.enumerate_sortable(n, (1, 3, 2)):
-            if bijections.rgf_to_sortable(bijections.sortable_to_rgf(p)) != p:
-                report(capsys, 5, False, f"strip-word map broke at {format_perm(p)}")
-    for n in range(1, 9):
-        for w in enumerate_avoiders(n, (1, 2, 2, 3, 1)):
-            if bijections.sortable_to_rgf(bijections.rgf_to_sortable(w)) != w:
-                report(capsys, 5, False, f"inverse strip-word map broke at {w}")
-
-    for n in range(1, 8):
-        for w in enumerate_avoiders(n, (1, 2, 2, 1)):
-            if bijections.dyck_path_to_rgf(bijections.rgf_to_dyck_path(w)) != w:
-                report(capsys, 5, False, f"peak-insertion map broke at {w}")
-
-    for mode in ("stack", "queue"):
-        for n in range(0, 8):
-            for steps in paths.enumerate_labeled_motzkin(n):
-                w = bijections.labeled_motzkin_to_rgf(steps, mode)
-                if bijections.rgf_to_labeled_motzkin(w, mode) != steps:
-                    report(capsys, 5, False, f"container map broke at {steps} ({mode})")
-
-    from patternsort.rgf import is_weakly_increasing, strip_ltr_maxima
-
-    for n in range(1, 9):
-        for w in enumerate_avoiders(n, (1, 2, 3, 2, 1)):
-            if not is_weakly_increasing(strip_ltr_maxima(w)):
-                continue
-            if bijections.av321_to_rgf(bijections.rgf_to_av321(w)) != w:
-                report(capsys, 5, False, f"remainder map broke at {w}")
-
-    for n in range(1, 9):
-        for w in enumerate_avoiders(n, (1, 2, 2, 3, 1)):
-            if bijections.to_12231_avoider(bijections.to_12321_avoider(w)) != w:
-                report(capsys, 5, False, f"swap map broke at {w}")
-    report(capsys, 5, True, "all five bijections round trip exhaustively at stated sizes")
-
-
-def test_criterion_06_statistic_transport(capsys):
-    for n in range(1, 8):
-        hist: dict[int, int] = {}
-        for w in enumerate_avoiders(n, (1, 2, 2, 1)):
-            path = bijections.rgf_to_dyck_path(w)
-            if max(w) != 1 + paths.double_rises(path):
-                report(capsys, 6, False, f"double-rise law broke at {w}")
-            hist[max(w)] = hist.get(max(w), 0) + 1
-        for k in range(1, n + 1):
-            if hist.get(k, 0) != sequences.narayana(n, k):
-                report(capsys, 6, False, f"Narayana mismatch at n={n}, k={k}")
-
-    for n in range(1, 8):
-        for w in enumerate_avoiders(n, (1, 2, 2, 3, 1)):
-            if max(bijections.to_12321_avoider(w)) != max(w):
-                report(capsys, 6, False, f"swap map changed the maximum of {w}")
-
-    for n in range(1, 8):
-        dist = grid.minima_distribution(n + 1)
-        for k in range(1, n + 2):
-            want = sequences.max_distribution_formula(n, k - 1)
-            if dist.get(k, 0) != want:
-                report(capsys, 6, False, f"minima distribution off at n={n + 1}, k={k}")
-    report(capsys, 6, True, "double-rise, maximum, and minima statistics all transport")
-
-
-def test_criterion_07_wilf_class(capsys):
-    from patternsort.checks import WILF_ELEVEN
-
-    for n in range(1, 8):
-        counts = {q: len(enumerate_avoiders(n, q)) for q in WILF_ELEVEN}
-        if len(set(counts.values())) != 1:
-            report(capsys, 7, False, f"avoider counts diverge at n={n}: {counts}")
-    for n in range(1, 10):
-        c = sequences.catalan(n)
-        if len(enumerate_avoiders(n, (1, 2, 2, 1))) != c:
-            report(capsys, 7, False, f"1221 family not Catalan at n={n}")
-        if len(enumerate_avoiders(n, (1, 2, 1, 2))) != c:
-            report(capsys, 7, False, f"1212 family not Catalan at n={n}")
-    report(capsys, 7, True, "eleven-pattern class agrees, with Catalan side families, n <= 9")
-
-
-def test_criterion_08_continued_fractions(capsys):
-    a = sequences.cf_series(10, "a007317", terms=9)
-    c = sequences.cf_series(10, "catalan", terms=9)
-    ok = a == [sequences.a007317(n) for n in range(9)] and c == [
-        sequences.catalan(n) for n in range(9)
-    ]
-    report(capsys, 8, ok, "depth-10 fraction expansions reproduce both sequences exactly")
+test_criterion_01_machine_counts = _criterion(
+    1, "machine-sortable-counts-132", seconds=60
+)
+test_criterion_02_characterization = _criterion(2, "machine-characterization-132")
+test_criterion_03_class_law = _criterion(3, "machine-class-law")
+test_criterion_04_generator_equivalence = _criterion(
+    4, "grid-generator-equivalence", "grid-children-count"
+)
+test_criterion_05_round_trips = _criterion(
+    5,
+    "bij-phi-roundtrip",
+    "bij-psi-roundtrip",
+    "bij-beta-roundtrip",
+    "bij-beta-reduced",
+    "bij-av321-map",
+    "bij-gamma-roundtrip",
+)
+test_criterion_06_statistic_transport = _criterion(
+    6, "bij-psi-roundtrip", "bij-gamma-roundtrip", "bij-minima-distribution"
+)
+test_criterion_07_wilf_class = _criterion(7, "rgf-wilf-eleven", "rgf-catalan-families")
+test_criterion_08_continued_fractions = _criterion(8, "seq-cf-a007317", "seq-cf-catalan")
 
 
 def test_criterion_09_goldens(capsys):
@@ -174,8 +88,4 @@ def test_criterion_09_goldens(capsys):
     report(capsys, 9, ok, "all three worked examples come out byte-exact")
 
 
-def test_criterion_10_cross_pattern_sanity(capsys):
-    got = machine.sortable_counts(8, sigma=(1, 2, 3))
-    want = [1 + sequences.catalan_double_partial_sums(n - 1) for n in range(1, 9)]
-    ok = got == want
-    report(capsys, 10, ok, f"the 123 control matches twice-summed Catalan numbers: {got}")
+test_criterion_10_cross_pattern_sanity = _criterion(10, "machine-sortable-counts-123")

@@ -1,21 +1,25 @@
+import json
+
 import pytest
 
-from patternsort.checks import SCOPES, check_names, run_checks
+from patternsort import grid
+from patternsort.checks import SCOPES, _REGISTRY, run_checks
+from patternsort.cli import main
 
 
 def test_scopes_cover_registry():
     assert SCOPES == ("machine", "grid", "rgf", "bijections", "sequences")
-    all_names = check_names("all")
-    assert len(all_names) == len(set(all_names))
-    assert sum(len(check_names(s)) for s in SCOPES) == len(all_names)
+    names = [c.name for c in _REGISTRY]
+    assert len(names) == len(set(names))
+    assert {c.scope for c in _REGISTRY} == set(SCOPES)
+    assert all(c.bound >= 1 for c in _REGISTRY)
 
 
 def test_run_checks_small():
     results = run_checks("all", 4)
     assert results and all(r.passed for r in results)
     assert all(r.seconds >= 0 for r in results)
-    names = [r.name for r in results]
-    assert names == list(check_names("all"))
+    assert [r.name for r in results] == [c.name for c in _REGISTRY]
 
 
 def test_run_checks_scoped():
@@ -28,3 +32,27 @@ def test_run_checks_validates_arguments():
         run_checks("nonsense", 4)
     with pytest.raises(ValueError):
         run_checks("all", 0)
+
+
+def test_failing_check_reports_counterexample(monkeypatch, capsys):
+    # a wrong minima distribution fails exactly one check, at length 2
+    monkeypatch.setattr(grid, "minima_distribution", lambda n: {})
+    failed = [r for r in run_checks("bijections", 4) if not r.passed]
+    assert [(r.name, r.counterexample) for r in failed] == [
+        ("bij-minima-distribution", "n=2, k=1: 0 vs 1")
+    ]
+
+    assert main(["verify", "--scope", "bijections", "--nmax", "4"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    bad = [line for line in lines if line.startswith("FAIL ")]
+    assert len(bad) == 1
+    assert bad[0].startswith("FAIL bij-minima-distribution (")
+    assert bad[0].endswith(": counterexample found [n=2, k=1: 0 vs 1]")
+    assert lines[-1].startswith("9/10 checks passed")
+
+    assert main(["verify", "--scope", "bijections", "--nmax", "4", "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] is False
+    [check] = [c for c in doc["checks"] if not c["passed"]]
+    assert check["name"] == "bij-minima-distribution"
+    assert check["counterexample"] == "n=2, k=1: 0 vs 1"

@@ -9,7 +9,6 @@ from patternsort.grid import (
     active_cells,
     children,
     decompose,
-    generate_sortable,
     insert_cons,
     insert_min,
     insert_new_minimum,
@@ -109,22 +108,6 @@ def test_insertion_small_examples():
     assert e.value.reason == "empty-cell"
 
 
-def test_children_count_and_legality():
-    for n in range(1, 7):
-        for p in enumerate_sortable(n, (1, 3, 2)):
-            kids = children(p)
-            assert len(kids) == len(active_cells(p)) + 1
-            values = [q for _, q in kids]
-            assert len(set(values)) == len(values)
-            for q in values:
-                assert is_sigma_sortable(q)
-                assert standardize(q[:-1]) == p
-
-
-def test_generate_matches_machine():
-    assert generate_sortable(0) == [()]
-    for n in range(1, 9):
-        assert generate_sortable(n) == enumerate_sortable(n, (1, 3, 2))
 
 
 def test_minima_distribution_small():

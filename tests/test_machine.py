@@ -8,7 +8,6 @@ from patternsort.machine import (
     is_sigma_sortable,
     s_sigma,
     sigma_stack_pass,
-    sortable_counts,
     stack_shape_check,
     stacksort,
     sigma_hat,
@@ -56,9 +55,6 @@ def test_sort3_sets():
     }
     assert len(got321) == 4
 
-
-def test_sortable_counts_132():
-    assert sortable_counts(8) == [1, 2, 5, 15, 51, 188, 731, 2950]
 
 
 def test_trace_lines():

@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from patternsort.checks import _check_perm_fast_patterns
+from patternsort.checks import _REGISTRY
 from patternsort.errors import InvalidInputError
 from patternsort.grid import _is_colayered_word
 from patternsort.perms import (
@@ -21,7 +21,6 @@ from patternsort.perms import (
     is_perm,
     ltr_minima,
     mu_predicate,
-    occurrence_of,
     parse_perm,
     parse_word,
     reverse,
@@ -31,6 +30,7 @@ from patternsort.perms import (
 from patternsort.rgf import all_words_standardized, enumerate_rgfs, word_standardize
 
 perm_lists = st.permutations(list(range(1, 7)))
+CHECKS = {c.name: c for c in _REGISTRY}
 
 
 def test_is_perm():
@@ -79,11 +79,6 @@ def test_standardize():
     with pytest.raises(InvalidInputError):
         standardize((1, 1))
 
-
-def test_occurrence_of_is_lex_least():
-    # positions are 1-based and chosen greedily from the left
-    assert occurrence_of((2, 4, 1, 3), (1, 3, 2)) == (1, 2, 4)
-    assert occurrence_of((1, 2, 3), (2, 1)) is None
 
 
 def test_first_occurrence_matches_bruteforce():
@@ -142,7 +137,8 @@ def test_mesh_vs_predicate_exhaustive():
 
 def test_fast_scans_match_contains_classical():
     # test_checks runs the registry at nmax 4; the scans need longer words
-    _check_perm_fast_patterns(7)
+    result = CHECKS["machine-perm-fast-patterns"].run(7)
+    assert result.passed, result.counterexample
 
 
 def test_ltr_extrema():

@@ -1,7 +1,6 @@
 import pytest
-from hypothesis import given, strategies as st
 
-from patternsort.checks import _check_rgf_fast_patterns
+from patternsort.checks import _REGISTRY
 from patternsort.errors import InvalidInputError, ResourceLimitError
 from patternsort.perms import parse_word
 from patternsort.rgf import (
@@ -25,9 +24,9 @@ from patternsort.rgf import (
     w_subword,
     word_standardize,
 )
-from patternsort.sequences import bell, catalan
 
 BELL = [1, 2, 5, 15, 52, 203, 877]
+CHECKS = {c.name: c for c in _REGISTRY}
 
 
 def test_is_rgf():
@@ -77,18 +76,14 @@ def test_rgf_contains():
 
 def test_fast_scans_match_rgf_contains():
     # test_checks runs the registry at nmax 4, too short for 12323 and 12332
-    _check_rgf_fast_patterns(8)
+    result = CHECKS["rgf-fast-patterns"].run(8)
+    assert result.passed, result.counterexample
 
 
 def test_counts_are_bell():
     for n, b in enumerate(BELL, 1):
         assert sum(1 for _ in enumerate_rgfs(n)) == b
 
-
-def test_avoider_counts():
-    for n in range(1, 8):
-        assert len(enumerate_avoiders(n, (1, 2, 2, 1))) == catalan(n)
-        assert len(enumerate_avoiders(n, (1, 2, 1, 2))) == catalan(n)
 
 
 def test_avoiders_lex_and_pruned():
