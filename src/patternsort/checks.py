@@ -200,15 +200,20 @@ def _check_trace_invariants(bound: int) -> str:
 
 
 def _check_fast_vs_generic(bound: int) -> str:
+    controls = tuple(permutations((1, 2, 3))) + ((2, 1),)
     for n in range(1, bound + 1):
         for p in all_perms(n):
-            generic132 = machine.sigma_stack_pass(p, (1, 3, 2))[0]
-            if machine.s_sigma(p, (1, 3, 2)) != generic132:
-                raise _Fail(f"132 fast path differs on {format_perm(p)}")
-            generic21 = machine.sigma_stack_pass(p, (2, 1))[0]
-            if machine.stacksort(p) != generic21:
-                raise _Fail(f"21 fast path differs on {format_perm(p)}")
-    return f"fast passes agree with the generic machine, n <= {bound}"
+            for sigma in controls:
+                generic = machine._generic_pass(p, sigma)
+                where = f"sigma={format_perm(sigma)} on {format_perm(p)}"
+                if machine.s_sigma(p, sigma) != generic[0]:
+                    raise _Fail(f"output differs, {where}")
+                if machine.sigma_stack_pass(p, sigma) != generic:
+                    raise _Fail(f"trace differs, {where}")
+    return (
+        "cut scan and Stacksort agree with the generic machine in output "
+        f"and trace, all six length-3 controls and 21, n <= {bound}"
+    )
 
 
 def _check_stack_shape(bound: int) -> str:

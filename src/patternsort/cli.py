@@ -14,7 +14,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 
 from . import bijections, checks, grid, machine, paths, rgf, sequences
 from .errors import InvalidInputError, MalformedInputError, ResourceLimitError
-from .perms import format_perm, ltr_minima, parse_perm, parse_word
+from .perms import _contains_231, format_perm, ltr_minima, parse_perm, parse_word
 from .rgf import format_rgf
 
 ENV_CAP = "PATTERNSORT_CAP"
@@ -46,7 +46,7 @@ def _do_simulate(args) -> tuple[str, int]:
     p = parse_perm(_require(args, "--perm", "simulate"))
     sigma = parse_perm(args.sigma)
     out, trace = machine.sigma_stack_pass(p, sigma)
-    sortable = machine.is_sigma_sortable(p, sigma)
+    sortable = not _contains_231(out)
     if args.json:
         doc = {
             "schema": SCHEMA,

@@ -7,6 +7,26 @@ the output and the test repeats.  After the input is exhausted the
 stack is flushed.  A permutation is sortable when a classical
 increasing stack can finish the job, i.e. when the first pass output
 avoids 231.
+
+For a control sigma of length 3 no matcher is needed.  Pushing x is
+illegal iff some y sits above some z in the stack with (x, y, z)
+order-isomorphic to sigma; the lowest such y is the cut, and everything
+from the cut upward pops before x enters.  One bottom-to-top scan finds
+the cut, keeping one running statistic of the values seen on z's side
+of x:
+
+    sigma   y's side   statistic of the z-side values, cut at
+    132     above x    nearest to x,    a y farther from x than it
+    312     below x    nearest to x,    a y farther from x than it
+    123     above x    farthest from x, a y nearer to x than it
+    321     below x    farthest from x, a y nearer to x than it
+    231     above x    whether any lies below x, a y after one
+    213     below x    whether any lies above x, a y after one
+
+Controls whose y lies below x run on negated values, which puts y above
+x and keeps the statistic.  The generic machine (`_generic_pass`) serves
+longer controls and is the reference the cut scan is cross-checked
+against; Stacksort serves 21.
 """
 
 from __future__ import annotations
@@ -88,27 +108,85 @@ def _generic_pass(pi: Perm, sigma: Perm) -> tuple[Perm, MachineTrace]:
     return out, MachineTrace(tuple(events), out)
 
 
-def _s132_output(pi: Perm) -> Perm:
-    # Pushing x is illegal iff some s_i < s_j sit above x's value window:
-    # i < j bottom-to-top with x < s_i < s_j.  The first such j is the cut;
-    # everything from it upward pops before x enters.
-    stack: list[int] = []
+# The cut rule of each length-3 control (see the module docstring).
+_NEAREST, _FARTHEST, _ANY = range(3)
+_CUT_RULES: dict[Perm, tuple[bool, int]] = {
+    # sigma: (y below x, statistic of z-side values)
+    (1, 3, 2): (False, _NEAREST),
+    (3, 1, 2): (True, _NEAREST),
+    (1, 2, 3): (False, _FARTHEST),
+    (3, 2, 1): (True, _FARTHEST),
+    (2, 3, 1): (False, _ANY),
+    (2, 1, 3): (True, _ANY),
+}
+
+
+def _cut_pass(pi: Perm, sigma: Perm, events: list | None = None) -> Perm:
+    """First-pass output under a length-3 control, without backtracking.
+
+    Scanning the stack bottom to top, the lowest y that completes an
+    occurrence with some z below it is the cut: everything from the cut
+    upward pops, top first, before x enters.  When events is a list it
+    receives the same (op, value, snapshot) events as _generic_pass.
+    """
+    flip, stat = _CUT_RULES[sigma]
+    if flip:
+        pi = tuple(-v for v in pi)
+    above_all = len(pi) + 1
+    stack: list[int] = []  # bottom to top
     output: list[int] = []
     for x in pi:
-        cut = -1
-        low = None  # smallest stack value above x seen so far
-        for j, v in enumerate(stack):
-            if v > x:
-                if low is not None and v > low:
-                    cut = j
-                    break
-                if low is None or v < low:
+        y = None  # the cut value
+        if stat == _NEAREST:
+            low = above_all  # nearest z-side value so far; none yet
+            for v in stack:
+                if v > x:
+                    if v > low:
+                        y = v
+                        break
                     low = v
-        if cut >= 0:
-            output.extend(reversed(stack[cut:]))
-            del stack[cut:]
+        elif stat == _FARTHEST:
+            high = x  # farthest z-side value so far; none yet
+            for v in stack:
+                if v > x:
+                    if v < high:
+                        y = v
+                        break
+                    high = v
+        else:
+            seen = False  # some z-side value so far
+            for v in stack:
+                if v < x:
+                    seen = True
+                elif seen:
+                    y = v
+                    break
+        if y is not None:
+            cut = stack.index(y)
+            if events is None:
+                output.extend(reversed(stack[cut:]))
+                del stack[cut:]
+            else:
+                while len(stack) > cut:
+                    v = stack.pop()
+                    output.append(v)
+                    events.append(("POP", v, tuple(reversed(stack))))
         stack.append(x)
-    output.extend(reversed(stack))
+        if events is not None:
+            events.append(("PUSH", x, tuple(reversed(stack))))
+    if events is None:
+        output.extend(reversed(stack))
+    else:
+        while stack:
+            v = stack.pop()
+            output.append(v)
+            events.append(("POP", v, tuple(reversed(stack))))
+    if flip:
+        if events is not None:
+            events[:] = [
+                (op, -v, tuple(-w for w in snap)) for op, v, snap in events
+            ]
+        return tuple(-v for v in output)
     return tuple(output)
 
 
@@ -128,15 +206,23 @@ def sigma_stack_pass(pi: Iterable[int], sigma: Iterable[int]) -> tuple[Perm, Mac
     """One traced pass of the machine's first stack."""
     p = as_perm(pi)
     s = _check_sigma(sigma)
+    if len(s) == 3:
+        events: list[tuple[str, int, tuple[int, ...]]] = []
+        out = _cut_pass(p, s, events)
+        return out, MachineTrace(tuple(events), out)
     return _generic_pass(p, s)
 
 
 def s_sigma(pi: Iterable[int], sigma: Iterable[int]) -> Perm:
-    """First-pass output, via pattern-specific fast paths when available."""
+    """First-pass output of the machine's first stack.
+
+    Length-3 controls run the cut scan, 21 runs Stacksort, and longer
+    controls run the generic machine.
+    """
     p = as_perm(pi)
     s = _check_sigma(sigma)
-    if s == (1, 3, 2):
-        return _s132_output(p)
+    if len(s) == 3:
+        return _cut_pass(p, s)
     if s == (2, 1):
         return _s21_output(p)
     return _generic_pass(p, s)[0]

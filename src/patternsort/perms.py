@@ -331,25 +331,17 @@ def _contains_321(w: Perm) -> bool:
 
 
 def _contains_231(w: Perm) -> bool:
-    n = len(w)
-    if n < 3:
-        return False
-    # maxbelow[j] = largest value left of j that is smaller than w[j]
-    # then w has 231 iff some value right of j is below maxbelow[j]
-    maxbelow = [0] * n
-    for j in range(1, n):
-        best = 0
-        for i in range(j):
-            if w[i] < w[j] and w[i] > best:
-                best = w[i]
-        maxbelow[j] = best
-    sufmin = [0] * (n + 1)
-    sufmin[n] = n + 1
-    for j in range(n - 1, -1, -1):
-        sufmin[j] = min(sufmin[j + 1], w[j])
-    for j in range(1, n - 1):
-        if maxbelow[j] and sufmin[j + 1] < maxbelow[j]:
+    # Stacksort with a bound, the largest value popped so far: a value
+    # arriving below the bound completes a 231 with the popped value and
+    # the larger one that popped it.
+    stack: list[int] = []
+    bound = 0
+    for v in w:
+        if v < bound:
             return True
+        while stack and stack[-1] < v:
+            bound = stack.pop()
+        stack.append(v)
     return False
 
 

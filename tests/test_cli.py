@@ -1,10 +1,11 @@
 import json
+import random
 
 import pytest
 
 from patternsort import bijections, machine, sequences
 from patternsort.cli import main
-from patternsort.perms import format_perm
+from patternsort.perms import contains_classical, format_perm
 
 
 def run(capsys, *argv):
@@ -26,6 +27,18 @@ def test_simulate_trace(capsys):
     assert lines[0] == "s_sigma: 4 3 1 2"
     assert lines[2] == "PUSH 2 | stack: 2"
     assert lines[-1] == "POP 2 | stack: (empty)"
+
+
+def test_simulate_trace_123_matches_generic_machine(capsys):
+    p = tuple(random.Random(123).sample(range(1, 301), 300))
+    code, out, _ = run(
+        capsys, "simulate", "--sigma", "123", "--perm", format_perm(p), "--trace"
+    )
+    assert code == 0
+    s, trace = machine._generic_pass(p, (1, 2, 3))
+    sortable = str(not contains_classical(s, (2, 3, 1))).lower()
+    want = [f"s_sigma: {format_perm(s)}", f"sortable: {sortable}"] + trace.as_lines()
+    assert out.splitlines() == want
 
 
 def test_sortable(capsys):

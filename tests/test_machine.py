@@ -1,9 +1,12 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from patternsort.errors import InvalidInputError, ResourceLimitError
 from patternsort.machine import (
     DEFAULT_PERM_CAP,
+    _generic_pass,
     enumerate_sortable,
     is_sigma_sortable,
     s_sigma,
@@ -69,13 +72,16 @@ def test_trace_lines():
 
 
 @settings(max_examples=200)
-@given(st.permutations(list(range(1, 8))))
+@given(
+    st.integers(1, 40).flatmap(lambda n: st.permutations(list(range(1, n + 1))))
+)
 def test_fast_matches_generic(lst):
     p = tuple(lst)
-    fast = s_sigma(p, (1, 3, 2))
-    generic, _ = sigma_stack_pass(p, (1, 3, 2))
-    assert fast == generic
-    assert s_sigma(p, (2, 1)) == sigma_stack_pass(p, (2, 1))[0]
+    for sigma in permutations((1, 2, 3)):
+        generic = _generic_pass(p, sigma)
+        assert s_sigma(p, sigma) == generic[0]
+        assert sigma_stack_pass(p, sigma) == generic
+    assert s_sigma(p, (2, 1)) == _generic_pass(p, (2, 1))[0]
 
 
 def test_stack_shape_on_sortables():

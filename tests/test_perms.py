@@ -25,6 +25,7 @@ from patternsort.perms import (
     parse_word,
     reverse,
     standardize,
+    _contains_231,
     _is_layered_by_avoidance,
 )
 from patternsort.rgf import all_words_standardized, enumerate_rgfs, word_standardize
@@ -169,3 +170,11 @@ def test_colayered_is_layered_complement():
     for n in range(1, 6):
         for p in all_perms(n):
             assert _is_colayered_word(p) == is_layered(complement(p))
+
+
+@given(
+    st.integers(0, 30).flatmap(lambda n: st.permutations(list(range(1, n + 1))))
+)
+def test_contains_231_stack_test_matches_matcher(lst):
+    p = tuple(lst)
+    assert _contains_231(p) == contains_classical(p, (2, 3, 1))
