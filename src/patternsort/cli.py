@@ -2,11 +2,20 @@
 
 Exit codes: 0 on success, 1 when a verification or cross-check fails,
 2 on usage errors (bad flags, malformed or oversized inputs).
+
+The argument parser is built once per process: ``build_parser()`` returns
+the same shared parser on every call, and ``main`` parses with it.
+Callers treat that parser as read-only, since a change to it would reach
+every later ``main`` call in the process.  Reuse is safe because argparse
+makes a fresh ``Namespace`` per parse and keeps no state between parses,
+and because usage errors and ``--help`` look up ``sys.stdout``,
+``sys.stderr`` and the terminal width when they print.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -394,7 +403,9 @@ def _do_export(args) -> tuple[str, int]:
 
 # -- parser -----------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call and shared (read-only) after."""
     parser = argparse.ArgumentParser(
         prog="patternsort",
         description="Sortable permutations, growth-function words, and lattice paths.",

@@ -36,6 +36,11 @@ def validate(seq: Iterable[int]) -> Rgf:
     t = tuple(seq)
     mx = 0
     for i, v in enumerate(t, start=1):
+        # fast path for plain ints; bools and int subclasses get the full check
+        if type(v) is int and 0 < v <= mx + 1:
+            if v > mx:
+                mx = v
+            continue
         if isinstance(v, bool) or not isinstance(v, int) or v < 1 or v > mx + 1:
             raise InvalidInputError(
                 f"not a restricted growth function: letter {v!r} at position {i} "

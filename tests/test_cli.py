@@ -1,9 +1,12 @@
+import argparse
+import contextlib
+import io
 import json
 import random
 
 import pytest
 
-from patternsort import bijections, machine, sequences
+from patternsort import bijections, cli, machine, sequences
 from patternsort.cli import main
 from patternsort.perms import contains_classical, format_perm
 
@@ -287,3 +290,86 @@ def test_thin_adapter(capsys):
     assert out.rstrip("\n") == format_rgf(bijections.sortable_to_rgf((5, 6, 3, 1, 4, 2)))
     _, out, _ = run(capsys, "sortable", "--perm", "5 6 3 1 4 2")
     assert (out.rstrip("\n") == "true") == machine.is_sigma_sortable((5, 6, 3, 1, 4, 2))
+
+
+# -- one parser per process -------------------------------------------------
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "patternsort":
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    for argv in (
+        ("sortable", "--perm", "2413"),
+        ("map", "phi", "--perm", "2 1"),
+        ("frobnicate",),
+        ("simulate", "--perm", "2413", "--trace"),
+    ):
+        run(capsys, *argv)
+    assert len(built) == 1 and built[0] is cli.build_parser()
+
+
+def test_flags_do_not_leak_between_calls(capsys):
+    plain = "s_sigma: 4 3 1 2\nsortable: true\n"
+    code, out, _ = run(capsys, "simulate", "--perm", "2413", "--trace")
+    assert code == 0 and out.startswith(plain) and "PUSH 2" in out
+    assert run(capsys, "simulate", "--perm", "2413") == (0, plain, "")
+    # relaxed mode maps a non-sortable permutation; the next call checks again
+    assert run(capsys, "map", "phi", "--perm", "1 3 2", "--relaxed") == (0, "111\n", "")
+    code, out, err = run(capsys, "map", "phi", "--perm", "1 3 2")
+    assert (code, out) == (2, "") and "not sortable" in err
+    code, out, _ = run(capsys, "sortable", "--perm", "2413", "--json")
+    assert code == 0 and json.loads(out)["sortable"] is True
+    assert run(capsys, "sortable", "--perm", "2413") == (0, "true\n", "")
+    # a non-default choice does not become the next call's default
+    path = ("map", "beta", "--path", "U U D D")
+    assert run(capsys, *path, "--mode", "queue") == (0, "12323\n", "")
+    assert run(capsys, *path) == (0, "12332\n", "")
+
+
+def test_usage_error_then_valid_call(capsys):
+    want = (0, "s_sigma: 4 3 1 2\nsortable: true\n", "")
+    for bad in (
+        ("simulate", "--perm", "2413", "--bogus"),
+        ("simulate",),
+        ("map", "no-such-map", "--rgf", "1"),
+        ("enumerate", "sortable", "--n", "three"),
+        (),
+    ):
+        code, out, err = run(capsys, *bad)
+        assert (code, out) == (2, "") and "usage: patternsort" in err, bad
+        assert run(capsys, "simulate", "--perm", "2413") == want, bad
+
+
+def test_help_goes_to_the_current_stream(capsys, monkeypatch):
+    for argv, usage in (
+        (["--help"], "usage: patternsort "),
+        (["map", "--help"], "usage: patternsort map "),
+    ):
+        for _ in range(2):  # a fresh stream each time, after the parser exists
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert main(argv) == 0
+            assert buf.getvalue().startswith(usage)
+            assert capsys.readouterr() == ("", "")
+    # usage errors follow sys.stderr the same way
+    buf = io.StringIO()
+    with contextlib.redirect_stderr(buf):
+        assert main(["frobnicate"]) == 2
+    assert "invalid choice" in buf.getvalue()
+    # the terminal width is read when help prints, not when the parser is built
+    cli.build_parser()
+    lines = []
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        code, out, _ = run(capsys, "map", "--help")
+        assert code == 0
+        lines.append(len(out.splitlines()))
+    assert lines[0] > lines[1]

@@ -48,6 +48,32 @@ def test_validate_reports_position():
     assert "position 3" in str(e.value)
 
 
+def test_validate_letter_types_and_messages():
+    # plain ints take a fast path; every other letter gets the full check
+    class Letter(int):
+        pass
+
+    word = validate((Letter(1), Letter(2), 1, Letter(3)))
+    assert word == (1, 2, 1, 3) and type(word[0]) is Letter
+    head = "not a restricted growth function: letter"
+    for bad, text in (
+        ((True,), "True at position 1 exceeds 1 + running maximum 0"),
+        ((1, True), "True at position 2 exceeds 1 + running maximum 1"),
+        ((1, False), "False at position 2 exceeds 1 + running maximum 1"),
+        ((0,), "0 at position 1 exceeds 1 + running maximum 0"),
+        ((-1,), "-1 at position 1 exceeds 1 + running maximum 0"),
+        ((1, 2.0), "2.0 at position 2 exceeds 1 + running maximum 1"),
+        ((1, "2"), "'2' at position 2 exceeds 1 + running maximum 1"),
+        ((1, None), "None at position 2 exceeds 1 + running maximum 1"),
+        ((1, 2, 4, 3), "4 at position 3 exceeds 1 + running maximum 2"),
+        ((1, Letter(2), 4), "4 at position 3 exceeds 1 + running maximum 2"),
+        ((1, Letter(3)), "3 at position 2 exceeds 1 + running maximum 1"),
+    ):
+        with pytest.raises(InvalidInputError) as e:
+            validate(bad)
+        assert str(e.value) == f"{head} {text}", bad
+
+
 def test_parse_format():
     assert parse_word("111223332345445") == (1,1,1,2,2,3,3,3,2,3,4,5,4,4,5)
     assert parse_word("1 2 1 3") == (1, 2, 1, 3)
