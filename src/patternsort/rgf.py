@@ -36,17 +36,16 @@ def validate(seq: Iterable[int]) -> Rgf:
     t = tuple(seq)
     mx = 0
     for i, v in enumerate(t, start=1):
-        # fast path for plain ints; bools and int subclasses get the full check
-        if type(v) is int and 0 < v <= mx + 1:
-            if v > mx:
-                mx = v
-            continue
-        if isinstance(v, bool) or not isinstance(v, int) or v < 1 or v > mx + 1:
+        # plain ints skip the isinstance calls; bools are rejected, int subclasses kept
+        if (
+            type(v) is not int and (isinstance(v, bool) or not isinstance(v, int))
+        ) or not 0 < v <= mx + 1:
             raise InvalidInputError(
                 f"not a restricted growth function: letter {v!r} at position {i} "
                 f"exceeds 1 + running maximum {mx}"
             )
-        mx = max(mx, v)
+        if v > mx:
+            mx = v
     return t
 
 
