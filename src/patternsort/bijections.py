@@ -12,7 +12,7 @@ from math import inf
 from typing import Iterable, NamedTuple
 
 from .errors import InsertRejected, InvalidInputError, MalformedInputError
-from .grid import GrowthState
+from .grid import GrowthState, strip_word
 from .machine import is_sigma_sortable
 from .paths import (
     _peel,
@@ -20,7 +20,7 @@ from .paths import (
     validate_dyck,
     validate_labeled_motzkin,
 )
-from .perms import Perm, _contains_321, as_perm, ltr_minima
+from .perms import Perm, _contains_321, as_perm
 from .rgf import (
     Rgf,
     _contains_1221,
@@ -44,8 +44,7 @@ def sortable_to_rgf(pi: Iterable[int], relaxed: bool = False) -> Rgf:
     p = as_perm(pi)
     if not relaxed and not is_sigma_sortable(p, (1, 3, 2)):
         raise InvalidInputError(f"{p} is not sortable")
-    mv = [v for _, v in ltr_minima(p)]
-    return tuple(1 + sum(m > x for m in mv) for x in p)
+    return strip_word(p)
 
 
 def rgf_to_sortable(word: Iterable[int]) -> Perm:

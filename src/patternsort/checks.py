@@ -351,16 +351,6 @@ def _check_grid_structural_necessary(bound: int) -> str:
     return f"necessary conditions hold on sortables yet admit 132, n <= {bound}"
 
 
-def _check_grid_strips_colayered(bound: int) -> str:
-    for n in range(1, bound + 1):
-        for p in machine.enumerate_sortable(n, (1, 3, 2)):
-            d = grid.decompose(p)
-            for i in range(1, d.k + 1):
-                if not avoids(d.std_hstrip(i), (2, 1, 3), (1, 3, 2)):
-                    raise _Fail(f"{format_perm(p)} strip {i}")
-    return f"horizontal strips are skew sums of increasing runs, n <= {bound}"
-
-
 # -- rgf scope -------------------------------------------------------------
 
 def _check_rgf_partition_roundtrip(bound: int) -> str:
@@ -793,7 +783,6 @@ _REGISTRY: tuple[Check, ...] = (
     Check("grid-tree-unique", "grid", 8, _check_grid_tree_unique),
     Check("grid-inversion-in-cell", "grid", 8, _check_grid_inversion_in_cell),
     Check("grid-structural-necessary", "grid", 8, _check_grid_structural_necessary),
-    Check("grid-strips-colayered", "grid", 8, _check_grid_strips_colayered),
     Check("rgf-partition-roundtrip", "rgf", 9, _check_rgf_partition_roundtrip),
     Check("rgf-counts-bell", "rgf", 9, _check_rgf_counts_bell),
     Check("rgf-pattern-padding", "rgf", 7, _check_rgf_pattern_padding),

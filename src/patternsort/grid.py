@@ -4,12 +4,13 @@ A permutation splits along its ltr-minima m_1 > ... > m_k: block B_j
 holds the non-minima positioned between m_j and the next minimum,
 horizontal strip H_i holds the values strictly between m_i and m_{i-1}
 (with m_0 infinite), and cell C_{i,j} is their intersection.  The core
-is the word of non-minima.  For sortable permutations the last column
-carries a notion of active cells, and appending one new element per
-active cell (plus a brand new minimum) generates every sortable
-permutation of the next length exactly once.  GrowthState carries just
-what such a step needs, so growing a permutation costs O(n) per entry
-instead of a fresh decomposition.
+is the word of non-minima.  All of it is read off the strip word, the
+row of each entry in position order.  For sortable permutations the
+last column carries a notion of active cells, and appending one new
+element per active cell (plus a brand new minimum) generates every
+sortable permutation of the next length exactly once.  GrowthState
+carries just what such a step needs, so growing a permutation costs O(n)
+per entry instead of a fresh decomposition.
 """
 
 from __future__ import annotations
@@ -51,9 +52,6 @@ class GridDecomposition:
     def hstrip(self, i: int) -> Perm:
         return self.hstrips[i - 1]
 
-    def std_hstrip(self, i: int) -> Perm:
-        return standardize(self.hstrip(i))
-
     def std_core(self) -> Perm:
         return standardize(self.core)
 
@@ -73,48 +71,51 @@ class GridDecomposition:
         return lines
 
 
+def strip_word(p: Perm) -> tuple[int, ...]:
+    """The row of each entry of a permutation, in position order.
+
+    Entry x sits in row 1 + #{ltr-minima above x}, which one sweep down
+    the values counts.  The word is an RGF: the j-th ltr-minimum is the
+    first letter j, so an entry's block is the running maximum.
+    """
+    low = len(p) + 1
+    is_min = [False] * low
+    for x in p:
+        if x < low:
+            is_min[x] = True
+            low = x
+    row = [0] * len(is_min)
+    above = 0  # ltr-minima above the current value
+    for v in range(len(p), 0, -1):
+        row[v] = above + 1
+        above += is_min[v]
+    return tuple(row[x] for x in p)
+
+
 def decompose(pi: Iterable[int]) -> GridDecomposition:
     p = as_perm(pi)
     if not p:
         raise InvalidInputError("cannot decompose the empty permutation")
-    minima = tuple(ltr_minima(p))
-    mpos = [pos for pos, _ in minima]
-    mval = [val for _, val in minima]
-    k = len(minima)
-
-    blocks: list[list[int]] = [[] for _ in range(k)]
-    j = 0
-    for q, x in enumerate(p, start=1):
-        if j < k and q == mpos[j]:
-            j += 1
+    w = strip_word(p)
+    minima: list[tuple[int, int]] = []
+    blocks: list[list[int]] = [[] for _ in range(max(w))]
+    hstrips: list[list[int]] = [[] for _ in blocks]
+    cells: dict[tuple[int, int], Perm] = {}
+    for q, (x, i) in enumerate(zip(p, w), start=1):
+        j = len(minima)  # the block so far, the running maximum of w
+        if i > j:  # a first letter i is the i-th minimum
+            minima.append((q, x))
             continue
         blocks[j - 1].append(x)
-
-    # row i holds values in the open interval (m_i, m_{i-1})
-    mset = set(mval)
-    hstrips: list[list[int]] = [[] for _ in range(k)]
-    rows: dict[int, int] = {}
-    for x in p:
-        if x in mset:
-            continue
-        i = 1 + sum(1 for m in mval if m > x)
-        rows[x] = i
         hstrips[i - 1].append(x)
-
-    cells: dict[tuple[int, int], Perm] = {}
-    for bj, blk in enumerate(blocks, start=1):
-        for x in blk:
-            key = (rows[x], bj)
-            cells[key] = cells.get(key, ()) + (x,)
-
-    core = tuple(x for x in p if x not in mset)
+        cells[(i, j)] = cells.get((i, j), ()) + (x,)
     return GridDecomposition(
         p,
-        minima,
+        tuple(minima),
         tuple(tuple(b) for b in blocks),
         tuple(tuple(h) for h in hstrips),
         cells,
-        core,
+        tuple(x for b in blocks for x in b),  # blocks run in position order
     )
 
 
@@ -221,13 +222,13 @@ class GrowthState:
         minima: list[int] = []
         last: list[tuple[int, int]] = []
         high = 0
-        for x in p:
-            if not minima or x < minima[-1]:
+        for x, i in zip(p, strip_word(p)):
+            if i > len(minima):  # a first letter i is the i-th minimum
                 high = max([high, *(r for _, r in last)])
                 minima.append(x)
                 last = []
             else:
-                last.append((x, 1 + sum(m > x for m in minima)))
+                last.append((x, i))
         return cls(tuple(p), tuple(minima), tuple(last), high)
 
     def active(self) -> range:

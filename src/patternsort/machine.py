@@ -27,6 +27,12 @@ Controls whose y lies below x run on negated values, which puts y above
 x and keeps the statistic.  The generic machine (`_generic_pass`) serves
 longer controls and is the reference the cut scan is cross-checked
 against; Stacksort serves 21.
+
+A pass is fixed by its input and its output, so traces are not recorded
+by the fast passes: `_replay` rebuilds the events from the output.  The
+top of the stack pops exactly when it is the next output letter, since
+pushing over it would bury it.  `_generic_pass` records its own events
+and is the reference the replay is cross-checked against.
 """
 
 from __future__ import annotations
@@ -41,7 +47,6 @@ from .perms import (
     as_perm,
     avoids,
     first_occurrence,
-    ltr_minima,
     standardize,
 )
 
@@ -84,28 +89,43 @@ class MachineTrace(NamedTuple):
 
 
 def _generic_pass(pi: Perm, sigma: Perm) -> tuple[Perm, MachineTrace]:
-    stack: list[int] = []  # bottom to top
+    stack: tuple[int, ...] = ()  # top to bottom
     output: list[int] = []
     events: list[tuple[str, int, tuple[int, ...]]] = []
-
-    def snap() -> tuple[int, ...]:
-        return tuple(reversed(stack))
-
     for x in pi:
         # the stack already avoids sigma, so a new occurrence must start
         # at the incoming element, which tops the top-to-bottom word
-        while stack and first_occurrence((x,) + snap(), sigma, head=True) is not None:
-            v = stack.pop()
+        while stack and first_occurrence((x,) + stack, sigma, head=True) is not None:
+            v, stack = stack[0], stack[1:]
             output.append(v)
-            events.append(("POP", v, snap()))
-        stack.append(x)
-        events.append(("PUSH", x, snap()))
-    while stack:
-        v = stack.pop()
+            events.append(("POP", v, stack))
+        stack = (x,) + stack
+        events.append(("PUSH", x, stack))
+    for i, v in enumerate(stack):
         output.append(v)
-        events.append(("POP", v, snap()))
+        events.append(("POP", v, stack[i + 1:]))
     out = tuple(output)
     return out, MachineTrace(tuple(events), out)
+
+
+def _replay(pi: Perm, out: Perm) -> MachineTrace:
+    """The events of the first-stack pass that turns pi into out.
+
+    Before each push, the top pops while it is the next output letter;
+    the rest of the stack flushes at the end.
+    """
+    stack: tuple[int, ...] = ()  # top to bottom
+    events: list[tuple[str, int, tuple[int, ...]]] = []
+    k = 0  # output letters popped so far
+    for x in pi:
+        while stack and stack[0] == out[k]:
+            stack = stack[1:]
+            events.append(("POP", out[k], stack))
+            k += 1
+        stack = (x,) + stack
+        events.append(("PUSH", x, stack))
+    events.extend(("POP", v, stack[i + 1:]) for i, v in enumerate(stack))
+    return MachineTrace(tuple(events), out)
 
 
 # The cut rule of each length-3 control (see the module docstring).
@@ -121,13 +141,12 @@ _CUT_RULES: dict[Perm, tuple[bool, int]] = {
 }
 
 
-def _cut_pass(pi: Perm, sigma: Perm, events: list | None = None) -> Perm:
+def _cut_pass(pi: Perm, sigma: Perm) -> Perm:
     """First-pass output under a length-3 control, without backtracking.
 
     Scanning the stack bottom to top, the lowest y that completes an
     occurrence with some z below it is the cut: everything from the cut
-    upward pops, top first, before x enters.  When events is a list it
-    receives the same (op, value, snapshot) events as _generic_pass.
+    upward pops, top first, before x enters.
     """
     flip, stat = _CUT_RULES[sigma]
     if flip:
@@ -163,29 +182,11 @@ def _cut_pass(pi: Perm, sigma: Perm, events: list | None = None) -> Perm:
                     break
         if y is not None:
             cut = stack.index(y)
-            if events is None:
-                output.extend(reversed(stack[cut:]))
-                del stack[cut:]
-            else:
-                while len(stack) > cut:
-                    v = stack.pop()
-                    output.append(v)
-                    events.append(("POP", v, tuple(reversed(stack))))
+            output.extend(reversed(stack[cut:]))
+            del stack[cut:]
         stack.append(x)
-        if events is not None:
-            events.append(("PUSH", x, tuple(reversed(stack))))
-    if events is None:
-        output.extend(reversed(stack))
-    else:
-        while stack:
-            v = stack.pop()
-            output.append(v)
-            events.append(("POP", v, tuple(reversed(stack))))
+    output.extend(reversed(stack))
     if flip:
-        if events is not None:
-            events[:] = [
-                (op, -v, tuple(-w for w in snap)) for op, v, snap in events
-            ]
         return tuple(-v for v in output)
     return tuple(output)
 
@@ -205,12 +206,8 @@ def _s21_output(pi: Perm) -> Perm:
 def sigma_stack_pass(pi: Iterable[int], sigma: Iterable[int]) -> tuple[Perm, MachineTrace]:
     """One traced pass of the machine's first stack."""
     p = as_perm(pi)
-    s = _check_sigma(sigma)
-    if len(s) == 3:
-        events: list[tuple[str, int, tuple[int, ...]]] = []
-        out = _cut_pass(p, s, events)
-        return out, MachineTrace(tuple(events), out)
-    return _generic_pass(p, s)
+    out = s_sigma(p, sigma)
+    return out, _replay(p, out)
 
 
 def s_sigma(pi: Iterable[int], sigma: Iterable[int]) -> Perm:
@@ -258,37 +255,25 @@ def stack_shape_check(pi: Iterable[int], cap: int = DEFAULT_PERM_CAP) -> bool:
     p = as_perm(pi)
     if not is_sigma_sortable(p, (1, 3, 2)):
         raise InvalidInputError("shape law only applies to sortable permutations")
-    minima = ltr_minima(p)
-    min_positions = [pos for pos, _ in minima]
-    min_values = tuple(val for _, val in minima)
-    min_set = set(min_values)
-
-    def block_of(q: int) -> int:
-        # 1-based index of the block holding the non-minimum at position q
-        i = 0
-        while i < len(min_positions) and min_positions[i] < q:
-            i += 1
-        return i
-
-    block_idx = {
-        x: block_of(q) for q, x in enumerate(p, start=1) if x not in min_set
-    }
-
     # the stack x meets is the one left by the previous PUSH, read bottom-to-top
     _, trace = sigma_stack_pass(p, (1, 3, 2))
     pushed = [snap for op, _, snap in trace.events if op == "PUSH"]
-    for q, (x, snap) in enumerate(zip(p, [()] + pushed), start=1):
-        if x not in min_set:
-            stack = snap[::-1]
-            i = block_of(q)
-            floor = stack[:i]
-            rest = stack[i:]
-            if floor != min_values[:i]:
-                return False
-            if any(a >= b for a, b in zip(rest, rest[1:])):
-                return False
-            if any(block_idx[v] != i for v in rest):
-                return False
+    minima: list[int] = []
+    block: dict[int, int] = {}  # non-minimum -> 1-based index of its block
+    for x, snap in zip(p, [()] + pushed):
+        if not minima or x < minima[-1]:
+            minima.append(x)
+            continue
+        i = block[x] = len(minima)
+        stack = snap[::-1]
+        floor = stack[:i]
+        rest = stack[i:]
+        if floor != tuple(minima):
+            return False
+        if any(a >= b for a, b in zip(rest, rest[1:])):
+            return False
+        if any(block[v] != i for v in rest):
+            return False
     return True
 
 

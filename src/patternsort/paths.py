@@ -118,17 +118,8 @@ def enumerate_dyck(semilength: int, cap: int = DEFAULT_PATH_CAP) -> Iterator[str
         raise ResourceLimitError(
             f"refusing Dyck enumeration at semilength {semilength} (cap {cap})"
         )
-
-    def extend(prefix: str, h: int, ups: int) -> Iterator[str]:
-        if len(prefix) == 2 * semilength:
-            yield prefix
-            return
-        if h > 0:
-            yield from extend(prefix + "D", h - 1, ups)
-        if ups < semilength:
-            yield from extend(prefix + "U", h + 1, ups + 1)
-
-    yield from extend("", 0, 0)
+    for steps in _walk(2 * semilength, 2 * cap, "Dyck", (("D", True), ("U", False))):
+        yield "".join(steps)
 
 
 def _walk(

@@ -13,12 +13,24 @@ from patternsort.grid import (
     insert_min,
     insert_new_minimum,
     minima_distribution,
+    strip_word,
     structural_check,
 )
 from patternsort.machine import enumerate_sortable, is_sigma_sortable
-from patternsort.perms import all_perms, standardize
+from patternsort.perms import all_perms, ltr_minima, standardize
 
 WORKED = (13, 14, 15, 10, 12, 6, 7, 8, 11, 9, 3, 1, 4, 5, 2)
+
+
+def test_strip_word_counts_minima_above():
+    for n in range(8):
+        for p in all_perms(n):
+            w = strip_word(p)
+            mv = [v for _, v in ltr_minima(p)]
+            assert w == tuple(1 + sum(m > x for m in mv) for x in p)
+            # first occurrences fall exactly at the minima
+            firsts = [q for q, j in enumerate(w, start=1) if j not in w[: q - 1]]
+            assert firsts == [q for q, _ in ltr_minima(p)]
 
 
 def test_worked_decomposition():
