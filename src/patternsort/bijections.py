@@ -230,10 +230,11 @@ def rgf_to_labeled_motzkin(
 
 # -- words avoiding 12321 (weakly increasing remainder) <-> Av(321) --------
 
-def _strict_maxima_positions(r: Rgf) -> list[int]:
+def _strict_maxima_positions(w: tuple[int, ...]) -> list[int]:
+    """0-based positions of the strict left-to-right maxima of a word."""
     out = []
     mx = 0
-    for i, v in enumerate(r):
+    for i, v in enumerate(w):
         if v > mx:
             out.append(i)
             mx = v
@@ -278,12 +279,7 @@ def av321_to_rgf(pi: Iterable[int]) -> Rgf:
     p = as_perm(pi)
     if _contains_321(p):
         raise InvalidInputError(f"{p} contains 321")
-    maxpos = []
-    mx = 0
-    for i, v in enumerate(p):
-        if v > mx:
-            maxpos.append(i)
-            mx = v
+    maxpos = _strict_maxima_positions(p)
     maxset = set(maxpos)
     word = [0] * len(p)
     for rank, i in enumerate(maxpos, start=1):

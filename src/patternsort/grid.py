@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import InsertRejected, InvalidInputError, ResourceLimitError
 from .machine import DEFAULT_PERM_CAP, is_sigma_sortable
-from .perms import Perm, as_perm, ltr_minima, standardize
+from .perms import Perm, as_perm, avoids, ltr_minima, standardize
 
 
 @dataclass(frozen=True)
@@ -40,20 +40,6 @@ class GridDecomposition:
     @property
     def minima_values(self) -> tuple[int, ...]:
         return tuple(v for _, v in self.minima)
-
-    def cell(self, i: int, j: int) -> Perm:
-        if not (1 <= i <= self.k and 1 <= j <= self.k):
-            raise InvalidInputError(f"cell ({i},{j}) out of range for k={self.k}")
-        return self.cells.get((i, j), ())
-
-    def block(self, j: int) -> Perm:
-        return self.blocks[j - 1]
-
-    def hstrip(self, i: int) -> Perm:
-        return self.hstrips[i - 1]
-
-    def std_core(self) -> Perm:
-        return standardize(self.core)
 
     def describe(self) -> list[str]:
         """One line per horizontal strip, nonempty cells delimited."""
@@ -134,15 +120,11 @@ class StructuralReport(NamedTuple):
 
 
 def _is_colayered_word(w: Perm) -> bool:
-    from .perms import avoids
-
     return avoids(standardize(w), (2, 1, 3), (1, 3, 2))
 
 
 def structural_check(pi: Iterable[int]) -> StructuralReport:
     """Evaluate the necessary conditions for 132-sortability independently."""
-    from .perms import avoids
-
     p = as_perm(pi)
     if not p:
         return StructuralReport((("nonempty", True),))
@@ -165,7 +147,7 @@ def structural_check(pi: Iterable[int]) -> StructuralReport:
 
     cells_colayered = all(_is_colayered_word(c) for c in d.cells.values())
     strips_colayered = all(_is_colayered_word(h) for h in d.hstrips)
-    core_ok = avoids(d.std_core(), (2, 1, 3))
+    core_ok = avoids(standardize(d.core), (2, 1, 3))
 
     return StructuralReport(
         (
@@ -178,9 +160,12 @@ def structural_check(pi: Iterable[int]) -> StructuralReport:
     )
 
 
-def _require_sortable(p: Perm) -> None:
-    if not is_sigma_sortable(p, (1, 3, 2)):
+def _sortable(pi: Iterable[int]) -> Perm:
+    """pi as a tuple, checked to be a 132-sortable permutation."""
+    p = tuple(pi)
+    if not is_sigma_sortable(p, (1, 3, 2)):  # validates p
         raise InvalidInputError(f"{p} is not sortable")
+    return p
 
 
 class InsertionKind(NamedTuple):
@@ -313,8 +298,7 @@ class GrowthState:
 
 def _state(pi: Iterable[int]) -> GrowthState:
     """The state of a validated, sortable, nonempty permutation."""
-    p = as_perm(pi)
-    _require_sortable(p)
+    p = _sortable(pi)
     if not p:
         raise InvalidInputError("the empty permutation has no cells")
     return GrowthState.of(p)
@@ -326,9 +310,7 @@ def active_cells(pi: Iterable[int]) -> set[int]:
 
 
 def insert_new_minimum(pi: Iterable[int]) -> Perm:
-    p = as_perm(pi)
-    _require_sortable(p)
-    return GrowthState.of(p).new_min().perm
+    return GrowthState.of(_sortable(pi)).new_min().perm
 
 
 def insert_min(pi: Iterable[int], i: int) -> Perm:

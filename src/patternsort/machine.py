@@ -37,16 +37,19 @@ and is the reference the replay is cross-checked against.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Iterable, NamedTuple
 
 from .errors import InvalidInputError, ResourceLimitError
 from .perms import (
+    MU,
     Perm,
     _contains_231,
     as_perm,
     avoids,
+    contains_mesh,
     first_occurrence,
+    reverse,
     standardize,
 )
 
@@ -205,8 +208,8 @@ def _s21_output(pi: Perm) -> Perm:
 
 def sigma_stack_pass(pi: Iterable[int], sigma: Iterable[int]) -> tuple[Perm, MachineTrace]:
     """One traced pass of the machine's first stack."""
-    p = as_perm(pi)
-    out = s_sigma(p, sigma)
+    p = tuple(pi)
+    out = s_sigma(p, sigma)  # validates p
     return out, _replay(p, out)
 
 
@@ -245,18 +248,18 @@ def enumerate_sortable(
     return [p for p in permutations(range(1, n + 1)) if is_sigma_sortable(p, s)]
 
 
-def stack_shape_check(pi: Iterable[int], cap: int = DEFAULT_PERM_CAP) -> bool:
+def stack_shape_check(pi: Iterable[int]) -> bool:
     """Verify the stack stays "minima floor + one increasing block" shaped.
 
     For a 132-sortable permutation, whenever the next input value lies in
     block B_i, the stack read bottom-to-top must be m_1 ... m_i followed
     by an increasing run of elements of B_i.
     """
-    p = as_perm(pi)
-    if not is_sigma_sortable(p, (1, 3, 2)):
+    p = tuple(pi)
+    out, trace = sigma_stack_pass(p, (1, 3, 2))
+    if _contains_231(out):
         raise InvalidInputError("shape law only applies to sortable permutations")
     # the stack x meets is the one left by the previous PUSH, read bottom-to-top
-    _, trace = sigma_stack_pass(p, (1, 3, 2))
     pushed = [snap for op, _, snap in trace.events if op == "PUSH"]
     minima: list[int] = []
     block: dict[int, int] = {}  # non-minimum -> 1-based index of its block
@@ -293,8 +296,6 @@ def witness_non_class(
     when no witness exists up to max_n, as happens when the sortable set
     is closed under containment.
     """
-    from itertools import combinations
-
     s = _check_sigma(sigma)
     for m in range(2, max_n + 1):
         for host in permutations(range(1, m + 1)):
@@ -327,8 +328,6 @@ def verify_characterizations(
     avoiding 132 and the reversed control; when it does not, the sortable
     set is not closed under containment and a witness pair is produced.
     """
-    from .perms import MU, contains_mesh, reverse
-
     s = _check_sigma(sigma)
     if n > cap:
         raise ResourceLimitError(f"refusing verification at n={n} (cap {cap})")

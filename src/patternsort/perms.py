@@ -176,34 +176,6 @@ class MeshPattern(NamedTuple):
     tau: Perm
     shaded: frozenset[tuple[int, int]]
 
-    @classmethod
-    def parse(cls, text: str) -> "MeshPattern":
-        """Parse "132;(0,2)(2,0)(2,1)" style text."""
-        body, _, boxes = text.partition(";")
-        tau = parse_perm(body)
-        shaded: set[tuple[int, int]] = set()
-        rest = boxes.strip()
-        while rest:
-            if not rest.startswith("("):
-                raise InvalidInputError(f"bad box list in {text!r}")
-            end = rest.find(")")
-            if end < 0:
-                raise InvalidInputError(f"unclosed box in {text!r}")
-            a_s, _, b_s = rest[1:end].partition(",")
-            try:
-                a, b = int(a_s), int(b_s)
-            except ValueError as exc:
-                raise InvalidInputError(f"bad box in {text!r}") from exc
-            if not (0 <= a <= len(tau) and 0 <= b <= len(tau)):
-                raise InvalidInputError(f"box {(a, b)} out of range for {tau}")
-            shaded.add((a, b))
-            rest = rest[end + 1 :].strip()
-        return cls(tau, frozenset(shaded))
-
-    def __str__(self) -> str:
-        boxes = "".join(f"({a},{b})" for a, b in sorted(self.shaded))
-        return f"{''.join(map(str, self.tau))};{boxes}"
-
 
 #: Mesh pattern whose avoidance, together with classical 2314, characterizes
 #: the permutations our machine sorts: 132 with boxes (0,2), (2,0), (2,1).

@@ -122,29 +122,38 @@ def _contains_12323(r: Rgf) -> bool:
     return False
 
 
-def enumerate_rgfs(n: int, cap: int = DEFAULT_RGF_CAP) -> Iterator[Rgf]:
-    """All RGFs of length n in lexicographic order (Bell-number many)."""
+def _walk(n: int, cap: int, pattern: Sequence[int] | None = None) -> Iterator[Rgf]:
+    """Length-n RGFs in lexicographic order, depth first.
+
+    With a pattern, a branch is cut the moment an appended letter
+    completes an occurrence: the word avoided the pattern before, so a
+    new occurrence must end at that letter.
+    """
     if n < 0:
         raise InvalidInputError("length must be nonnegative")
     if n > cap:
         raise ResourceLimitError(f"refusing RGF enumeration at n={n} (cap {cap})")
-    if n == 0:
-        yield ()
-        return
+    word: list[int] = []
 
-    word = [1]
-
-    def extend() -> Iterator[Rgf]:
-        if len(word) == n:
-            yield tuple(word)
-            return
-        top = max(word)
+    def extend(top: int) -> Iterator[Rgf]:  # top: the running maximum
         for letter in range(1, top + 2):
             word.append(letter)
-            yield from extend()
+            if pattern is None or first_occurrence(word, pattern, tail=True) is None:
+                if len(word) == n:
+                    yield tuple(word)
+                else:
+                    yield from extend(max(top, letter))
             word.pop()
 
-    yield from extend()
+    if n == 0:
+        yield ()
+    else:
+        yield from extend(0)
+
+
+def enumerate_rgfs(n: int, cap: int = DEFAULT_RGF_CAP) -> Iterator[Rgf]:
+    """All RGFs of length n in lexicographic order (Bell-number many)."""
+    return _walk(n, cap)
 
 
 def enumerate_avoiders(
@@ -152,36 +161,12 @@ def enumerate_avoiders(
 ) -> list[Rgf]:
     """All length-n RGFs avoiding the (standardized) pattern, lex order.
 
-    The search tree is pruned the moment an appended letter completes an
-    occurrence; the naive filter over all RGFs is kept in the test suite as
-    the oracle for this shortcut.
+    The naive filter over all RGFs is the oracle the pruned walk is
+    checked against (the rgf-pruned-vs-naive check).
     """
     if not pattern:
         raise InvalidInputError("empty pattern")
-    if n < 0:
-        raise InvalidInputError("length must be nonnegative")
-    if n > cap:
-        raise ResourceLimitError(f"refusing RGF enumeration at n={n} (cap {cap})")
-    out: list[Rgf] = []
-    if n == 0:
-        return [()]
-
-    word: list[int] = []
-
-    def extend() -> None:
-        if len(word) == n:
-            out.append(tuple(word))
-            return
-        top = max(word) if word else 0
-        for letter in range(1, top + 2):
-            word.append(letter)
-            # the word avoided pattern before, so a new occurrence ends here
-            if first_occurrence(word, pattern, tail=True) is None:
-                extend()
-            word.pop()
-
-    extend()
-    return out
+    return list(_walk(n, cap, pattern))
 
 
 def rgf_to_partition(word: Iterable[int]) -> tuple[tuple[int, ...], ...]:

@@ -20,11 +20,7 @@ from patternsort.bijections import (
 from patternsort import bijections
 from patternsort.errors import InvalidInputError, MalformedInputError
 from patternsort.grid import children
-from patternsort.paths import (
-    LABELED_STEPS,
-    dyck_children,
-    enumerate_labeled_motzkin,
-)
+from patternsort.paths import LABELED_STEPS, dyck_children
 from patternsort.rgf import enumerate_rgfs, rgf_contains
 
 WORKED_PERM = (13, 14, 15, 10, 12, 6, 7, 8, 11, 9, 3, 1, 4, 5, 2)
@@ -102,18 +98,6 @@ def test_beta_reduced():
     with pytest.raises(InvalidInputError):
         labeled_motzkin_to_rgf(("H1",), "stack", reduced=True)
 
-
-
-def test_beta_statistics():
-    for steps in enumerate_labeled_motzkin(6):
-        w = labeled_motzkin_to_rgf(steps, "stack")
-        ups = sum(1 for t in steps if t == "U")
-        flat_new = sum(1 for t in steps if t == "H0")
-        flat_ones = sum(1 for t in steps if t == "H1")
-        assert ups + flat_new == max(w) - 1
-        assert flat_ones == w.count(1) - 1
-        singles = sum(1 for v in set(w) if v >= 2 and w.count(v) == 1)
-        assert flat_new == singles
 
 
 # -- weak-remainder map onto 321-avoiders -----------------------------------

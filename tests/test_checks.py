@@ -16,7 +16,7 @@ def test_scopes_cover_registry():
 
 
 def test_run_checks_small():
-    results = run_checks("all", 4)
+    results = run_checks("all", 6)
     assert results and all(r.passed for r in results)
     assert all(r.seconds >= 0 for r in results)
     assert [r.name for r in results] == [c.name for c in _REGISTRY]

@@ -37,19 +37,19 @@ def test_worked_decomposition():
     d = decompose(WORKED)
     assert d.minima_values == (13, 10, 6, 3, 1)
     assert d.k == 5
-    assert d.cell(1, 1) == (14, 15)
-    assert d.cell(2, 2) == (12,)
-    assert d.cell(2, 3) == (11,)
-    assert d.cell(3, 3) == (7, 8, 9)
-    assert d.cell(4, 5) == (4, 5)
-    assert d.cell(5, 5) == (2,)
-    assert d.cell(1, 2) == ()
+    assert d.cells[(1, 1)] == (14, 15)
+    assert d.cells[(2, 2)] == (12,)
+    assert d.cells[(2, 3)] == (11,)
+    assert d.cells[(3, 3)] == (7, 8, 9)
+    assert d.cells[(4, 5)] == (4, 5)
+    assert d.cells[(5, 5)] == (2,)
+    assert (1, 2) not in d.cells
     # cells below the diagonal are structurally empty
     with_lower = [(i, j) for (i, j) in d.cells if i > j]
     assert not with_lower
     assert standardize(d.core) == (9, 10, 8, 4, 5, 7, 6, 2, 3, 1)
-    assert standardize(d.hstrip(2)) == (2, 1)
-    assert standardize(d.cell(3, 3)) == (1, 2, 3)
+    assert standardize(d.hstrips[1]) == (2, 1)
+    assert standardize(d.cells[(3, 3)]) == (1, 2, 3)
 
 
 def test_describe_lines():
@@ -63,9 +63,9 @@ def test_reconstruction():
         for p in all_perms(n):
             d = decompose(p)
             rebuilt = []
-            for j, (pos, val) in enumerate(d.minima, 1):
+            for (pos, val), block in zip(d.minima, d.blocks):
                 rebuilt.append(val)
-                rebuilt.extend(d.block(j))
+                rebuilt.extend(block)
             assert tuple(rebuilt) == p, p
 
 

@@ -8,7 +8,6 @@ from patternsort.errors import InvalidInputError
 from patternsort.grid import _is_colayered_word
 from patternsort.perms import (
     MU,
-    MeshPattern,
     all_perms,
     as_perm,
     avoids,
@@ -20,7 +19,6 @@ from patternsort.perms import (
     is_layered,
     is_perm,
     ltr_minima,
-    mu_predicate,
     parse_perm,
     parse_word,
     reverse,
@@ -117,12 +115,6 @@ def test_contains_classical_basics():
     assert not avoids((3, 1, 2), (2, 1))
 
 
-def test_mesh_parse_and_str():
-    m = MeshPattern.parse("132;(0,2)(2,0)(2,1)")
-    assert m == MU
-    assert MeshPattern.parse(str(m)) == m
-
-
 def test_mesh_mu_examples():
     # 3142 contains classical 132 but every occurrence is killed by shading
     assert contains_classical((3, 1, 4, 2), (1, 3, 2))
@@ -130,14 +122,8 @@ def test_mesh_mu_examples():
     assert contains_mesh((1, 3, 2), MU)
 
 
-def test_mesh_vs_predicate_exhaustive():
-    for n in range(1, 7):
-        for p in all_perms(n):
-            assert contains_mesh(p, MU) == mu_predicate(p), p
-
-
 def test_fast_scans_match_contains_classical():
-    # test_checks runs the registry at nmax 4; the scans need longer words
+    # test_checks runs the registry at nmax 6; the scans need longer words
     result = CHECKS["machine-perm-fast-patterns"].run(7)
     assert result.passed, result.counterexample
 
@@ -157,12 +143,6 @@ def test_symmetries():
 def test_layered_routes_agree(lst):
     p = tuple(lst)
     assert is_layered(p) == _is_layered_by_avoidance(p)
-
-
-def test_layered_counts():
-    # layered permutations of n are the 2^(n-1) compositions of n
-    for n in range(1, 7):
-        assert sum(is_layered(p) for p in all_perms(n)) == 2 ** (n - 1)
 
 
 def test_colayered_is_layered_complement():
