@@ -12,9 +12,9 @@ from math import inf
 from typing import Iterable, NamedTuple
 
 from .errors import InsertRejected, InvalidInputError, MalformedInputError
-from .grid import GrowthState, strip_word
-from .machine import is_sigma_sortable
+from .grid import GrowthState, _sortable, strip_word
 from .paths import (
+    _insert_peak,
     _peel,
     final_descent_length,
     validate_dyck,
@@ -41,10 +41,7 @@ def sortable_to_rgf(pi: Iterable[int], relaxed: bool = False) -> Rgf:
     12231 and the map is a bijection; relaxed mode skips the
     sortability check and claims nothing about the image.
     """
-    p = as_perm(pi)
-    if not relaxed and not is_sigma_sortable(p, (1, 3, 2)):
-        raise InvalidInputError(f"{p} is not sortable")
-    return strip_word(p)
+    return strip_word(as_perm(pi) if relaxed else _sortable(pi))
 
 
 def rgf_to_sortable(word: Iterable[int]) -> Perm:
@@ -71,33 +68,26 @@ def rgf_to_dyck_path(word: Iterable[int]) -> str:
     """Replay the word's growth as peak insertions.
 
     Appending letter j to a prefix with maximum M and final descent run
-    of length r inserts a peak so the new run has length M + 1 - j: at
-    the very end when j == M, before the first D of the run when
-    j == M + 1, and before the (r+j-M+1)-th D of the run otherwise.
+    of length r makes child q of the Dyck generating tree
+    (:func:`patternsort.paths.dyck_children`): q = 0 for a new maximum
+    and q = r + j - M otherwise, so the new run has length r + 1 - q.
     """
     r = validate(word)
     if _contains_1221(r):
         raise InvalidInputError(f"{r} contains 1221")
     path = ""
-    mx = 0
+    mx = run = 0
     for j in r:
-        if not path:
-            path = "UD"
-        elif j == mx + 1:
-            idx = len(path) - final_descent_length(path)
-            path = path[:idx] + "UD" + path[idx:]
-        elif j == mx:
-            path += "UD"
+        if j > mx:
+            q, mx = 0, j
         else:
-            run = final_descent_length(path)
-            q = run + j - mx + 1
-            if not 2 <= q <= run:
+            q = run + j - mx
+            if q < 1:
                 raise MalformedInputError(
                     f"letter {j} has no insertion site (run {run}, max {mx})"
                 )
-            idx = len(path) - run + (q - 1)
-            path = path[:idx] + "UD" + path[idx:]
-        mx = max(mx, j)
+        path = _insert_peak(path, run, q)
+        run += 1 - q
     return path
 
 
@@ -120,9 +110,7 @@ def dyck_path_to_rgf(path: str) -> Rgf:
     word: list[int] = []
     mx = 0
     for s, run in reversed(pairs):
-        if not word:
-            j = 1
-        elif s == run + 1:
+        if s == run + 1:
             j = mx + 1
         else:
             j = mx + 1 - s

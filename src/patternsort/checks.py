@@ -120,14 +120,10 @@ def _check_sortable_counts_123(bound: int) -> str:
 
 def _check_characterization_132(bound: int) -> str:
     for n in range(1, bound + 1):
-        for p in all_perms(n):
-            sortable = machine.is_sigma_sortable(p, (1, 3, 2))
-            # machine-perm-fast-patterns and machine-perm-mesh-predicate check
-            # both fast tests against the generic matchers up to n = 8; the
-            # generic ones would dominate this run at n = 9
-            basis = not _contains_2314(p) and not mu_predicate(p)
-            if sortable != basis:
-                raise _Fail(f"{format_perm(p)}: sortable={sortable}, basis={basis}")
+        bad = machine.verify_characterizations(n, (1, 3, 2)).counterexamples
+        if bad:
+            sortable = machine.is_sigma_sortable(bad[0], (1, 3, 2))
+            raise _Fail(f"{format_perm(bad[0])}: sortable={sortable}, basis={not sortable}")
     return f"sortable set equals the two-pattern basis, n <= {bound}"
 
 
@@ -439,16 +435,6 @@ def _check_rgf_catalan_families(bound: int) -> str:
         if a != c or b != c:
             raise _Fail(f"n={n}: {a}, {b} vs {c}")
     return f"1221- and 1212-avoiders are Catalan-many, n <= {bound}"
-
-
-def _check_rgf_12231_2231(bound: int) -> str:
-    for n in range(1, bound + 1):
-        for r in rgf.enumerate_rgfs(n):
-            if rgf.rgf_contains(r, (1, 2, 2, 3, 1)) != rgf.rgf_contains(
-                r, (2, 2, 3, 1)
-            ):
-                raise _Fail(rgf.format_rgf(r))
-    return f"the 12231 and 2231 containment tests coincide, n <= {bound}"
 
 
 def _check_rgf_active_sites(bound: int) -> str:
@@ -792,7 +778,6 @@ _REGISTRY: tuple[Check, ...] = (
     Check("rgf-12321-counts", "rgf", 7, _check_rgf_12321_counts),
     Check("rgf-wilf-eleven", "rgf", 7, _check_rgf_wilf_eleven),
     Check("rgf-catalan-families", "rgf", 9, _check_rgf_catalan_families),
-    Check("rgf-12231-vs-2231", "rgf", 7, _check_rgf_12231_2231),
     Check("rgf-active-sites", "rgf", 7, _check_rgf_active_sites),
     Check("rgf-pruned-vs-naive", "rgf", 8, _check_rgf_pruned_vs_naive),
     Check("rgf-fast-patterns", "rgf", 9, _check_rgf_fast_patterns),

@@ -42,13 +42,14 @@ from typing import Iterable, NamedTuple
 
 from .errors import InvalidInputError, ResourceLimitError
 from .perms import (
-    MU,
     Perm,
     _contains_231,
+    _contains_2314,
+    all_perms,
     as_perm,
     avoids,
-    contains_mesh,
     first_occurrence,
+    mu_predicate,
     reverse,
     standardize,
 )
@@ -327,56 +328,39 @@ def verify_characterizations(
     yields something containing 231, the sortable set must be the class
     avoiding 132 and the reversed control; when it does not, the sortable
     set is not closed under containment and a witness pair is produced.
+    A prediction is checked by one lexicographic scan of S_n that lists
+    every permutation on which it and the machine disagree.
     """
     s = _check_sigma(sigma)
     if n > cap:
         raise ResourceLimitError(f"refusing verification at n={n} (cap {cap})")
 
     if s == (1, 3, 2):
-        sortable = set(enumerate_sortable(n, s, cap))
-        predicted = {
-            p
-            for p in permutations(range(1, n + 1))
-            if avoids(p, (2, 3, 1, 4)) and not contains_mesh(p, MU)
-        }
-        bad = tuple(sorted(sortable.symmetric_difference(predicted)))
-        return CharacterizationReport(
-            s,
-            "mesh-basis",
-            not bad,
-            f"sortable set vs avoiders of 2314 and the shaded 132, n={n}",
-            bad,
-        )
-
-    if _contains_231(sigma_hat(s)):
-        sortable = set(enumerate_sortable(n, s, cap))
+        # machine-perm-fast-patterns and machine-perm-mesh-predicate check
+        # both fast tests against the generic matchers up to n = 8
+        kind, what = "mesh-basis", "avoiders of 2314 and the shaded 132"
+        predicted = lambda p: not _contains_2314(p) and not mu_predicate(p)
+    elif _contains_231(sigma_hat(s)):
         rev = reverse(s)
-        predicted = {
-            p
-            for p in permutations(range(1, n + 1))
-            if avoids(p, (1, 3, 2), rev)
-        }
-        bad = tuple(sorted(sortable.symmetric_difference(predicted)))
+        kind, what = "class", "avoiders of 132 and the reversed control"
+        predicted = lambda p: avoids(p, (1, 3, 2), rev)
+    else:
+        # length-3 control cases all have witnesses by host length 6
+        hosts = max(n, 6) if len(s) == 3 else n
+        w = witness_non_class(s, max_n=hosts)
+        if w is None:
+            return CharacterizationReport(
+                s, "non-class", False, f"no witness found up to n={hosts}", ()
+            )
+        host, pat = w
         return CharacterizationReport(
             s,
-            "class",
-            not bad,
-            f"sortable set vs avoiders of 132 and the reversed control, n={n}",
-            bad,
+            "non-class",
+            True,
+            f"sortable {host} contains unsortable {pat}",
+            (host, pat),
         )
-
-    # length-3 control cases all have witnesses by host length 6
-    hosts = max(n, 6) if len(s) == 3 else n
-    w = witness_non_class(s, max_n=hosts)
-    if w is None:
-        return CharacterizationReport(
-            s, "non-class", False, f"no witness found up to n={hosts}", ()
-        )
-    host, pat = w
+    bad = tuple(p for p in all_perms(n) if is_sigma_sortable(p, s) != predicted(p))
     return CharacterizationReport(
-        s,
-        "non-class",
-        True,
-        f"sortable {host} contains unsortable {pat}",
-        (host, pat),
+        s, kind, not bad, f"sortable set vs {what}, n={n}", bad
     )

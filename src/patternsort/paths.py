@@ -196,10 +196,13 @@ def dyck_children(path: str) -> list[str]:
     """
     validate_dyck(path)
     r = final_descent_length(path)
-    base = len(path) - r
-    out = [path[: base + q] + "UD" + path[base + q :] for q in range(r)]
-    out.append(path + "UD")
-    return out
+    return [_insert_peak(path, r, q) for q in range(r + 1)]
+
+
+def _insert_peak(path: str, r: int, q: int) -> str:
+    """Child q of a path whose final descent has length r; its run is r + 1 - q."""
+    i = len(path) - r + q
+    return path[:i] + "UD" + path[i:]
 
 
 def dyck_parent(path: str) -> str:

@@ -25,10 +25,13 @@ Perm = tuple[int, ...]
 def is_perm(w: Iterable[int]) -> bool:
     """True if w is a permutation of 1..n in one-line notation."""
     t = tuple(w)
-    if sorted(t) != list(range(1, len(t) + 1)):
+    # as in rgf.validate: plain ints skip the isinstance calls; bools are
+    # rejected, int subclasses kept
+    if list(map(type, t)).count(int) != len(t) and not all(
+        isinstance(v, int) and not isinstance(v, bool) for v in t
+    ):
         return False
-    # True == 1 is the one boolean that can pass the value test
-    return not t or t[t.index(1)] is not True
+    return sorted(t) == list(range(1, len(t) + 1))
 
 
 def as_perm(w: Iterable[int]) -> Perm:

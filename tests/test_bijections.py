@@ -20,8 +20,13 @@ from patternsort.bijections import (
 from patternsort import bijections
 from patternsort.errors import InvalidInputError, MalformedInputError
 from patternsort.grid import children
-from patternsort.paths import LABELED_STEPS, dyck_children
-from patternsort.rgf import enumerate_rgfs, rgf_contains
+from patternsort.paths import LABELED_STEPS, dyck_children, final_descent_length
+from patternsort.rgf import (
+    active_sites_1221,
+    enumerate_avoiders,
+    enumerate_rgfs,
+    rgf_contains,
+)
 
 WORKED_PERM = (13, 14, 15, 10, 12, 6, 7, 8, 11, 9, 3, 1, 4, 5, 2)
 WORKED_RGF = (1, 1, 1, 2, 2, 3, 3, 3, 2, 3, 4, 5, 4, 4, 5)
@@ -68,6 +73,21 @@ def test_psi_small_goldens():
 def test_psi_rejects_1221():
     with pytest.raises(InvalidInputError):
         rgf_to_dyck_path((1, 2, 2, 1))
+
+
+def test_psi_walks_the_dyck_generating_tree():
+    # appending j makes child q: 0 for a new maximum, run + j - max otherwise
+    cases = 0
+    for n in range(9):
+        for r in enumerate_avoiders(n, (1, 2, 2, 1)):
+            path = rgf_to_dyck_path(r)
+            run, mx = final_descent_length(path), max(r, default=0)
+            kids = dyck_children(path)
+            for j in active_sites_1221(r):
+                q = 0 if j > mx else run + j - mx
+                assert rgf_to_dyck_path(r + (j,)) == kids[q], (r, j)
+                cases += 1
+    assert cases == 6917  # the empty word included
 
 
 

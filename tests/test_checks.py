@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from patternsort import grid
+from patternsort import grid, machine
 from patternsort.checks import SCOPES, _REGISTRY, run_checks
 from patternsort.cli import main
 
@@ -56,3 +56,17 @@ def test_failing_check_reports_counterexample(monkeypatch, capsys):
     [check] = [c for c in doc["checks"] if not c["passed"]]
     assert check["name"] == "bij-minima-distribution"
     assert check["counterexample"] == "n=2, k=1: 0 vs 1"
+
+
+def test_characterization_failure_reports_first_counterexample(monkeypatch):
+    # a shaded 132 that is never contained predicts 132 itself sortable
+    monkeypatch.setattr(machine, "mu_predicate", lambda p: False)
+    assert machine.verify_characterizations(3, (1, 3, 2)).counterexamples == ((1, 3, 2),)
+    failed = [r for r in run_checks("machine", 3) if not r.passed]
+    assert [(r.name, r.counterexample) for r in failed] == [
+        ("machine-characterization-132", "1 3 2: sortable=False, basis=True"),
+        (
+            "machine-class-law",
+            "sigma=1 3 2: sortable set vs avoiders of 2314 and the shaded 132, n=3",
+        ),
+    ]

@@ -1,11 +1,14 @@
+from enum import IntEnum
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
+from patternsort.bijections import av321_to_rgf, sortable_to_rgf
 from patternsort.checks import _REGISTRY
 from patternsort.errors import InvalidInputError
-from patternsort.grid import _is_colayered_word
+from patternsort.grid import _is_colayered_word, active_cells, decompose
 from patternsort.perms import (
     MU,
     all_perms,
@@ -42,6 +45,25 @@ def test_is_perm():
     assert not is_perm((2, True))
     with pytest.raises(InvalidInputError):
         as_perm((True,))
+
+
+class Letter(IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+@pytest.mark.parametrize("w", [(2.0, 1.0), (Fraction(1),), (1, True)])
+@pytest.mark.parametrize(
+    "call", [as_perm, decompose, sortable_to_rgf, active_cells, av321_to_rgf]
+)
+def test_entries_must_be_ints(call, w):
+    with pytest.raises(InvalidInputError, match="not a permutation of 1..n"):
+        call(w)
+
+
+def test_int_subclass_entries_are_kept():
+    assert as_perm((Letter.TWO, Letter.ONE)) == (2, 1)
+    assert sortable_to_rgf((Letter.ONE,)) == (1,)
 
 
 def test_parse_word():
