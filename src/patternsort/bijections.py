@@ -13,13 +13,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import InsertRejected, InvalidInputError, MalformedInputError
 from .grid import GrowthState, _sortable, strip_word
-from .paths import (
-    _insert_peak,
-    _peel,
-    final_descent_length,
-    validate_dyck,
-    validate_labeled_motzkin,
-)
+from .paths import _insert_peak, validate_dyck, validate_labeled_motzkin
 from .perms import Perm, _contains_321, as_perm
 from .rgf import (
     Rgf,
@@ -101,11 +95,15 @@ def dyck_path_to_rgf(path: str) -> Rgf:
     """
     validate_dyck(path)
     pairs: list[tuple[int, int]] = []
-    cur = path
-    while cur:
-        s = final_descent_length(cur)
-        cur = _peel(cur)
-        pairs.append((s, final_descent_length(cur)))
+    rest = path.rstrip("D")  # the path without its final run of D's
+    run = len(path) - len(rest)
+    while rest:
+        # a peel drops the U that ends rest and one D of the run; the D-run
+        # that then ends rest joins the run
+        parent = rest[:-1].rstrip("D")
+        s, run = run, run + len(rest) - 2 - len(parent)
+        pairs.append((s, run))
+        rest = parent
 
     word: list[int] = []
     mx = 0

@@ -52,7 +52,7 @@ def _require(args: argparse.Namespace, flag: str, verb: str) -> str:
 # -- verb bodies ------------------------------------------------------------
 
 def _do_simulate(args) -> tuple[str, int]:
-    p = parse_perm(_require(args, "--perm", "simulate"))
+    p = parse_perm(args.perm)
     sigma = parse_perm(args.sigma)
     out, trace = machine.sigma_stack_pass(p, sigma)
     sortable = not _contains_231(out)
@@ -74,7 +74,7 @@ def _do_simulate(args) -> tuple[str, int]:
 
 
 def _do_sortable(args) -> tuple[str, int]:
-    p = parse_perm(_require(args, "--perm", "sortable"))
+    p = parse_perm(args.perm)
     sigma = parse_perm(args.sigma)
     result = machine.is_sigma_sortable(p, sigma)
     if args.json:
@@ -130,7 +130,7 @@ def _do_enumerate(args) -> tuple[str, int]:
 
 
 def _do_decompose(args) -> tuple[str, int]:
-    p = parse_perm(_require(args, "--perm", "decompose"))
+    p = parse_perm(args.perm)
     d = grid.decompose(p)
     if args.json:
         doc = {
@@ -380,7 +380,7 @@ def _do_table(args) -> tuple[str, int]:
 
 def _do_export(args) -> tuple[str, int]:
     if args.kind == "trace":
-        p = parse_perm(_require(args, "--perm", "export trace"))
+        p = parse_perm(args.perm)
         sigma = parse_perm(args.sigma)
         out, trace = machine.sigma_stack_pass(p, sigma)
         if args.format == "json":
@@ -394,11 +394,7 @@ def _do_export(args) -> tuple[str, int]:
             return json.dumps(doc, indent=2), 0
         return "\n".join(trace.as_lines()), 0
     # decomposition
-    sub = argparse.Namespace(
-        perm=_require(args, "--perm", "export decomposition"),
-        json=(args.format == "json"),
-    )
-    return _do_decompose(sub)
+    return _do_decompose(argparse.Namespace(perm=args.perm, json=args.format == "json"))
 
 
 # -- parser -----------------------------------------------------------------

@@ -210,10 +210,5 @@ def dyck_parent(path: str) -> str:
     validate_dyck(path)
     if not path:
         raise InvalidInputError("the empty path has no parent")
-    return _peel(path)
-
-
-def _peel(path: str) -> str:
-    """dyck_parent of a nonempty path already known to be a Dyck path."""
     idx = len(path) - final_descent_length(path)  # path[idx-1] is its U
     return path[: idx - 1] + path[idx + 1 :]

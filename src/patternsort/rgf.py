@@ -196,20 +196,12 @@ def partition_to_rgf(blocks: Iterable[Iterable[int]]) -> Rgf:
     return validate(letter_of[i] for i in range(1, n + 1))
 
 
-def w_subword(word: Sequence[int]) -> tuple[int, ...]:
-    """The word with the first occurrence of each distinct letter removed."""
-    seen: set[int] = set()
-    out = []
-    for v in word:
-        if v in seen:
-            out.append(v)
-        else:
-            seen.add(v)
-    return tuple(out)
-
-
 def strip_ltr_maxima(word: Sequence[int]) -> tuple[int, ...]:
-    """Delete the strict left-to-right maxima (on an RGF: the first occurrences)."""
+    """Delete the strict left-to-right maxima.
+
+    On an RGF these are the first occurrences, so what is left is the
+    paper's w-subword.
+    """
     out = []
     mx = 0
     for v in word:

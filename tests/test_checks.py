@@ -1,10 +1,16 @@
+import hashlib
 import json
 
 import pytest
 
-from patternsort import grid, machine
+from patternsort import bijections, grid, machine
 from patternsort.checks import SCOPES, _REGISTRY, run_checks
 from patternsort.cli import main
+from patternsort.errors import MalformedInputError
+
+# (checks, sha256) over (name, scope, passed, detail, counterexample) of
+# each result of run_checks("all", 6)
+REPORT_GOLDEN = (48, "05cf3111c544f835e7cb0e5fcb37acc28c1ee27824fa49874e46f2448cc4ccc8")
 
 
 def test_scopes_cover_registry():
@@ -16,10 +22,18 @@ def test_scopes_cover_registry():
 
 
 def test_run_checks_small():
+    """Every check passes at nmax 6, and the report is pinned by a digest.
+
+    A change that alters a report line on purpose updates REPORT_GOLDEN
+    and names the change in CHANGES.md.
+    """
     results = run_checks("all", 6)
     assert results and all(r.passed for r in results)
     assert all(r.seconds >= 0 for r in results)
     assert [r.name for r in results] == [c.name for c in _REGISTRY]
+    lines = [(r.name, r.scope, r.passed, r.detail, r.counterexample) for r in results]
+    digest = hashlib.sha256(repr(lines).encode()).hexdigest()
+    assert (len(lines), digest) == REPORT_GOLDEN
 
 
 def test_run_checks_scoped():
@@ -70,3 +84,42 @@ def test_characterization_failure_reports_first_counterexample(monkeypatch):
             "sigma=1 3 2: sortable set vs avoiders of 2314 and the shaded 132, n=3",
         ),
     ]
+
+
+def _raise(exc):
+    def call(*args, **kwargs):
+        raise exc
+
+    return call
+
+
+@pytest.mark.parametrize(
+    "module, name, exc, failing",
+    [
+        (
+            bijections,
+            "to_12231_avoider",
+            MalformedInputError("boom"),
+            ["bij-gamma-roundtrip"],
+        ),
+        (
+            grid,
+            "decompose",
+            IndexError("boom"),
+            ["machine-suffix-law", "grid-inversion-in-cell", "grid-structural-necessary"],
+        ),
+    ],
+)
+def test_check_that_raises_fails_alone(monkeypatch, capsys, module, name, exc, failing):
+    # the other checks still run, and verify exits 1 rather than 2
+    monkeypatch.setattr(module, name, _raise(exc))
+    assert main(["verify", "--nmax", "3"]) == 1
+    out, err = capsys.readouterr()
+    bad = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    assert [line.split()[1] for line in bad] == failing
+    kind = type(exc).__name__
+    assert all(line.endswith(f": raised an exception [{kind}: boom]") for line in bad)
+    total = len(_REGISTRY)
+    passed = total - len(failing)
+    assert out.splitlines()[-1].startswith(f"{passed}/{total} checks passed")
+    assert err == "" and "Traceback" not in out

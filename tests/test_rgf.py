@@ -21,7 +21,6 @@ from patternsort.rgf import (
     rgf_to_partition,
     strip_ltr_maxima,
     validate,
-    w_subword,
     word_standardize,
 )
 
@@ -151,23 +150,20 @@ def test_partition_roundtrip_exhaustive():
             assert partition_to_rgf(rgf_to_partition(w)) == w
 
 
-def test_w_subword():
-    # drop the first occurrence of each letter, keep the rest in order
-    assert w_subword((1, 2, 1, 2, 3, 2)) == (1, 2, 2)
-    assert w_subword((1, 2, 3)) == ()
-
-
 def test_1221_iff_weakly_increasing_leftovers():
     for n in range(1, 8):
         for w in enumerate_rgfs(n):
             assert rgf_avoids(w, (1, 2, 2, 1)) == is_weakly_increasing(
-                w_subword(w)
+                strip_ltr_maxima(w)
             )
 
 
 def test_strip_and_repeated_maxima():
     w = (1, 2, 1, 3, 1, 4, 2, 3, 4)
     assert strip_ltr_maxima(w) == (1, 1, 2, 3, 4)
+    # on an RGF: drop the first occurrence of each letter, keep the rest in order
+    assert strip_ltr_maxima((1, 2, 1, 2, 3, 2)) == (1, 2, 2)
+    assert strip_ltr_maxima((1, 2, 3)) == ()
     assert repeated_ltr_maxima(w) == (9,)
     # the first letter is never a repeated maximum
     assert repeated_ltr_maxima((1, 1)) == (2,)
