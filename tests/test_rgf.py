@@ -150,6 +150,13 @@ def test_partition_roundtrip_exhaustive():
             assert partition_to_rgf(rgf_to_partition(w)) == w
 
 
+def test_w_subword():
+    # on an RGF, strip_ltr_maxima is the w-subword: drop the first
+    # occurrence of each letter, keep the rest in order
+    assert strip_ltr_maxima((1, 2, 1, 2, 3, 2)) == (1, 2, 2)
+    assert strip_ltr_maxima((1, 2, 3)) == ()
+
+
 def test_1221_iff_weakly_increasing_leftovers():
     for n in range(1, 8):
         for w in enumerate_rgfs(n):
@@ -161,9 +168,6 @@ def test_1221_iff_weakly_increasing_leftovers():
 def test_strip_and_repeated_maxima():
     w = (1, 2, 1, 3, 1, 4, 2, 3, 4)
     assert strip_ltr_maxima(w) == (1, 1, 2, 3, 4)
-    # on an RGF: drop the first occurrence of each letter, keep the rest in order
-    assert strip_ltr_maxima((1, 2, 1, 2, 3, 2)) == (1, 2, 2)
-    assert strip_ltr_maxima((1, 2, 3)) == ()
     assert repeated_ltr_maxima(w) == (9,)
     # the first letter is never a repeated maximum
     assert repeated_ltr_maxima((1, 1)) == (2,)
