@@ -57,13 +57,29 @@ from .perms import (
 DEFAULT_PERM_CAP = 10
 
 
-def _check_sigma(sigma: Perm) -> Perm:
-    s = as_perm(sigma)
+# Controls that passed _check_sigma, each stored as the very tuple that
+# passed.  Only that object skips validation: an equal tuple of other
+# letters, such as (1.0, 3.0, 2.0) or (True, 2), is validated afresh.
+_CHECKED_CONTROLS: dict[Perm, Perm] = {}
+_CHECKED_CAP = 256
+
+
+def _check_sigma(sigma: Iterable[int]) -> Perm:
+    s = tuple(sigma)
+    try:
+        if _CHECKED_CONTROLS.get(s) is s:
+            return s
+    except TypeError:  # an unhashable letter; as_perm rejects it below
+        pass
+    s = as_perm(s)
     if len(s) < 2:
         raise InvalidInputError(
             "control pattern must have length >= 2 (a shorter one would "
             "freeze or trivialize the stack)"
         )
+    if len(_CHECKED_CONTROLS) >= _CHECKED_CAP:
+        _CHECKED_CONTROLS.clear()
+    _CHECKED_CONTROLS[s] = s
     return s
 
 

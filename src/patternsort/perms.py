@@ -5,16 +5,22 @@ containment is classical: an occurrence of a pattern p in w is a set of
 positions of w whose entries are ordered the same way as p.  Mesh patterns
 refine this by forbidding host entries inside shaded boxes of the pattern's
 plot; see :class:`MeshPattern`.  Every generic containment test in the
-package, including the tie-aware one on words in :mod:`patternsort.rgf`,
-goes through the one backtracking search :func:`first_occurrence`; the
-pattern-specific scans at the end of this module are checked against it.
+package, including the tie-aware one on words in :mod:`patternsort.rgf`
+and mesh containment, goes through one matcher kernel per
+(pattern, head, tail, shaded boxes).  The kernel is Python source with one
+nested ``for`` loop per pattern letter: each level tests its letter's
+order relations as plain comparisons, and each shaded box at the first
+level that fixes its four sides.  The source is built only from indices
+the generator computed, never from pattern or host letters; it is
+compiled with ``exec`` on first use and cached.  :func:`first_occurrence`
+returns the kernel's lex-least occurrence, and the pattern-specific scans
+at the end of this module are checked against it.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import inf
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidInputError
@@ -84,7 +90,6 @@ def standardize(vals: Iterable[int]) -> Perm:
     return tuple(rank[v] for v in t)
 
 
-@lru_cache(maxsize=256)
 def _relations(pattern: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Per pattern index d, the (earlier index, sign) pairs that pin letter d.
 
@@ -110,51 +115,130 @@ def _relations(pattern: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], .
     return tuple(table)
 
 
+def _occupied(w: Sequence[int], first: int, last: int, lo: int, hi: int) -> bool:
+    """Some letter at a position in first..last-1 lies strictly between lo and hi."""
+    for x in w[first:last]:
+        if lo < x < hi:
+            return True
+    return False
+
+
+# CPython refuses more than 20 statically nested blocks in one function, so
+# a kernel nests at most this many position loops and hands the deeper
+# letters to a further generated function.
+_LOOPS_PER_PART = 16
+
+
+def _kernel_source(
+    pattern: tuple[int, ...], head: bool, tail: bool, shaded: frozenset
+) -> str:
+    """Python source of the matcher for one pattern; see :func:`_kernel`.
+
+    Position i<d> and value v<d> belong to pattern letter d.  The text is
+    built from depths, relation and box indices only: no letter of the
+    pattern or of a host word appears in it.
+    """
+    rel = _relations(pattern)
+    k = len(pattern)
+    by_value = sorted(range(k), key=pattern.__getitem__)
+    # each box as the letters at its left, right, low and high side, None
+    # for a sentinel; tested at the first depth that fixes all four sides,
+    # or before any loop when the pattern is empty
+    boxes: dict[int, list[tuple[int | None, ...]]] = {}
+    for a, b in sorted(shaded):
+        sides = (
+            a - 1 if a > 0 else None,
+            a if a < k else None,
+            by_value[b - 1] if b > 0 else None,
+            by_value[b] if b < k else None,
+        )
+        depth = max((d for d in sides if d is not None), default=-1)
+        boxes.setdefault(depth, []).append(sides)
+    pinned = {0: "0"} if head else {}
+    if tail and k:
+        pinned[k - 1] = "n - 1"
+
+    def box_tests(depth: int, indent: str, fail: str) -> list[str]:
+        out = []
+        for left, right, low, high in boxes.get(depth, ()):
+            first = "0" if left is None else f"i{left} + 1"
+            last = "n" if right is None else f"i{right}"
+            lo = "0" if low is None else f"v{low}"
+            hi = "n + 1" if high is None else f"v{high}"
+            out += [f"{indent}if _occupied(w, {first}, {last}, {lo}, {hi}):", f"{indent}    {fail}"]
+        return out
+
+    lines: list[str] = []
+    starts = range(0, max(k, 1), _LOOPS_PER_PART)
+    for j, start in enumerate(starts):
+        depths = range(start, min(start + _LOOPS_PER_PART, k))
+        indent, fail = "    ", "return None"
+        if j == 0:
+            size = "n != 1" if head and tail and k == 1 else f"n < {k}"
+            lines += ["def _part0(w):", "    n = len(w)", f"    if {size}:", "        return None"]
+            lines += box_tests(-1, indent, fail)
+        else:
+            # an earlier part fixed letters 0..start-1
+            lines.append(f"def _part{j}(w, n{''.join(f', i{e}' for e in range(start))}):")
+            lines += [f"    v{e} = w[i{e}]" for e in range(start)]
+        for d in depths:
+            if d in pinned:
+                lines.append(f"{indent}i{d} = {pinned[d]}")
+            else:
+                first = f"i{d - 1} + 1" if d else "0"
+                stop = f"n - {k - 1 - d}" if d < k - 1 else "n"
+                lines.append(f"{indent}for i{d} in range({first}, {stop}):")
+                indent, fail = indent + "    ", "continue"
+            lines.append(f"{indent}v{d} = w[i{d}]")
+            bound = {s: f"v{e}" for e, s in rel[d]}
+            if 0 in bound:
+                lines.append(f"{indent}if v{d} != {bound[0]}:")
+            elif bound:
+                chain = (bound.get(1), f"v{d}", bound.get(-1))
+                lines.append(f"{indent}if not {' < '.join(x for x in chain if x)}:")
+            if bound:
+                lines.append(f"{indent}    {fail}")
+            lines += box_tests(d, indent, fail)
+        if j + 1 < len(starts):
+            lines += [
+                f"{indent}found = _part{j + 1}(w, n{''.join(f', i{e}' for e in range(depths.stop))})",
+                f"{indent}if found is not None:",
+                f"{indent}    return found",
+            ]
+        else:
+            lines.append(f"{indent}return ({''.join(f'i{d}, ' for d in range(k))})")
+    return "\n".join(lines) + "\n"
+
+
+# verify --nmax 10 builds 164 kernels, so the cache never evicts there
+@lru_cache(maxsize=1024)
+def _kernel(
+    pattern: tuple[int, ...], head: bool, tail: bool, shaded: frozenset
+) -> Callable[[Sequence[int]], tuple[int, ...] | None]:
+    """The compiled matcher of one pattern, built on first use.
+
+    One nested loop per pattern letter, innermost last, walks the
+    positions in lexicographic order; each level tests its letter's
+    relations as plain comparisons and every shaded box the level
+    completes, so the first tuple to reach the innermost level is the
+    lex-least occurrence.
+    """
+    namespace: dict = {"_occupied": _occupied}
+    exec(_kernel_source(pattern, head, tail, shaded), namespace)
+    return namespace["_part0"]
+
+
 def first_occurrence(
-    word: Sequence[int],
-    pattern: Sequence[int],
-    head: bool = False,
-    tail: bool = False,
-    accept: Callable[[tuple[int, ...]], bool] | None = None,
+    word: Sequence[int], pattern: Sequence[int], head: bool = False, tail: bool = False
 ) -> tuple[int, ...] | None:
     """Lex-least 0-based positions of an occurrence of pattern in word, or None.
 
     Matching is tie-aware: equal pattern letters map to equal letters of
-    word and strict order is kept, so one search serves permutations and
+    word and strict order is kept, so one matcher serves permutations and
     integer words alike.  ``head`` pins the first pattern letter to
-    word[0], ``tail`` pins the last one to word[-1], and ``accept`` may
-    veto a complete occurrence, in which case the search goes on.
+    word[0] and ``tail`` pins the last one to word[-1].
     """
-    rel = _relations(tuple(pattern))
-    k, n = len(rel), len(word)
-    if k > n:
-        return None
-    chosen: list[int] = []
-
-    def extend(start: int) -> bool:
-        depth = len(chosen)
-        if depth == k:
-            return accept is None or accept(tuple(chosen))
-        # letters are integers, so each relation tightens a closed interval
-        lo, hi = -inf, inf
-        for e, s in rel[depth]:
-            v = word[chosen[e]]
-            if s >= 0:
-                lo = v + s
-            if s <= 0:
-                hi = v + s
-        if tail and depth == k - 1:
-            start = n - 1
-        stop = 1 if head and depth == 0 else n - k + depth + 1
-        for pos in range(start, stop):
-            if lo <= word[pos] <= hi:
-                chosen.append(pos)
-                if extend(pos + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return tuple(chosen) if extend(0) else None
+    return _kernel(tuple(pattern), head, tail, frozenset())(word)
 
 
 def contains_classical(w: Perm, pattern: Perm) -> bool:
@@ -186,21 +270,28 @@ MU = MeshPattern((1, 3, 2), frozenset({(0, 2), (2, 0), (2, 1)}))
 
 
 def contains_mesh(w: Perm, mp: MeshPattern) -> bool:
-    """Mesh containment: some classical occurrence has all shaded boxes empty."""
-    n = len(w)
+    """Mesh containment: some classical occurrence has all shaded boxes empty.
 
-    def boxes_empty(occ: tuple[int, ...]) -> bool:
-        # 1-based positions with sentinels 0 and n+1 at the ends
-        pos = (0,) + tuple(p + 1 for p in occ) + (n + 1,)
-        vals = (0,) + tuple(sorted(w[p] for p in occ)) + (n + 1,)
-        for a, b in mp.shaded:
-            lo_v, hi_v = vals[b], vals[b + 1]
-            for q in range(pos[a], pos[a + 1] - 1):  # 0-based positions strictly between
-                if lo_v < w[q] < hi_v:
-                    return False
-        return True
-
-    return first_occurrence(w, mp.tau, accept=boxes_empty) is not None
+    A shaded box that is not a pair of ints in 0..len(mp.tau) raises
+    InvalidInputError.
+    """
+    tau = tuple(mp.tau)
+    k = len(tau)
+    try:
+        shaded = frozenset(mp.shaded)
+    except TypeError as exc:  # an unhashable box is no pair of ints
+        raise InvalidInputError(f"shaded boxes must be pairs of ints: {mp.shaded!r}") from exc
+    # checked on every call, not once per kernel: the kernel cache's keys
+    # compare (0, True) and (0, 1.0) equal to (0, 1)
+    for box in shaded:
+        if type(box) is not tuple or len(box) != 2 or not (
+            type(box[0]) is int and type(box[1]) is int
+            and 0 <= box[0] <= k and 0 <= box[1] <= k
+        ):
+            raise InvalidInputError(
+                f"shaded box must be a pair of ints in 0..{k}: {box!r}"
+            )
+    return _kernel(tau, False, False, shaded)(w) is not None
 
 
 def mu_predicate(w: Perm) -> bool:

@@ -241,11 +241,14 @@ def active_sites_1221(word: Iterable[int]) -> range:
     letter is distinct.  Input must itself avoid 1221.
     """
     w = validate(word)
-    if rgf_contains(w, (1, 2, 2, 1)):
+    if _contains_1221(w):
         raise InvalidInputError("word contains 1221; active sites are undefined")
-    mx = max(w, default=0)
-    repeated = [v for v in set(w) if w.count(v) >= 2]
-    t = max(repeated, default=1)
+    mx, t = 0, 1
+    for v in w:  # on an RGF a letter is a repeat iff it is <= the running maximum
+        if v > mx:
+            mx = v
+        elif v > t:
+            t = v
     return range(t, mx + 2)
 
 

@@ -40,6 +40,19 @@ def test_degenerate_sigma_rejected():
         s_sigma((1, 2), (1,))
 
 
+@pytest.mark.parametrize(
+    "sigma",
+    [(1.0, 3.0, 2.0), (True, 2), (1, 3, 3), (0, 1, 2), (1, [3], 2), ([1], [2])],
+)
+def test_sigma_validated_after_an_equal_valid_control(sigma):
+    # validated controls are remembered; an equal or unhashable control of
+    # other letters must still be rejected as before
+    assert is_sigma_sortable((1, 2), (1, 3, 2))
+    assert is_sigma_sortable((1, 2), (1, 2))
+    with pytest.raises(InvalidInputError, match="not a permutation of 1..n"):
+        is_sigma_sortable((1, 2), sigma)
+
+
 def test_sortability():
     assert is_sigma_sortable((2, 4, 1, 3))
     assert not is_sigma_sortable((1, 3, 2))

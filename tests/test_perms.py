@@ -1,3 +1,4 @@
+import random
 from enum import IntEnum
 from fractions import Fraction
 from itertools import combinations
@@ -11,6 +12,7 @@ from patternsort.errors import InvalidInputError
 from patternsort.grid import _is_colayered_word, active_cells, decompose
 from patternsort.perms import (
     MU,
+    MeshPattern,
     all_perms,
     as_perm,
     avoids,
@@ -28,6 +30,7 @@ from patternsort.perms import (
     standardize,
     _contains_231,
     _is_layered_by_avoidance,
+    _kernel,
 )
 from patternsort.rgf import all_words_standardized, enumerate_rgfs, word_standardize
 
@@ -123,11 +126,67 @@ def test_first_occurrence_matches_bruteforce():
                     ]
                     got = first_occurrence(w, pat, head=head, tail=tail)
                     assert got == (want[0] if want else None), (w, pat, head, tail)
-                    if want:
-                        second = first_occurrence(
-                            w, pat, head=head, tail=tail, accept=lambda o: o != want[0]
-                        )
-                        assert second == (want[1] if len(want) > 1 else None)
+
+
+def _boxes_empty(w, occ, shaded):
+    # 1-based positions and sorted values, with sentinels 0 and n+1
+    n = len(w)
+    pos = (0,) + tuple(q + 1 for q in occ) + (n + 1,)
+    vals = (0,) + tuple(sorted(w[q] for q in occ)) + (n + 1,)
+    return not any(
+        pos[a] < q + 1 < pos[a + 1] and vals[b] < w[q] < vals[b + 1]
+        for a, b in shaded
+        for q in range(n)
+    )
+
+
+def test_mesh_kernel_matches_bruteforce():
+    # oracle: the first position subset, in lex order, that is a classical
+    # occurrence with every shaded box empty
+    rng = random.Random(13)
+    meshes = [MU]
+    for _ in range(24):
+        tau = standardize(rng.sample(range(1, 4), rng.randint(0, 3)))
+        k = len(tau)
+        boxes = {(rng.randint(0, k), rng.randint(0, k)) for _ in range(rng.randint(0, 5))}
+        meshes.append(MeshPattern(tau, frozenset(boxes)))
+    for n in range(7):
+        for w in all_perms(n):
+            for mp in meshes:
+                want = next(
+                    (
+                        occ
+                        for occ in combinations(range(n), len(mp.tau))
+                        if standardize(w[q] for q in occ) == mp.tau
+                        and _boxes_empty(w, occ, mp.shaded)
+                    ),
+                    None,
+                )
+                got = _kernel(mp.tau, False, False, mp.shaded)(w)
+                assert got == want, (w, mp)
+                assert contains_mesh(w, mp) == (want is not None)
+
+
+@pytest.mark.parametrize(
+    "shaded",
+    [
+        {(4, 0)},  # past len(tau)
+        {(0, -1)},  # negative
+        {(0, True)},  # a bool, equal to 1
+        {(0, 1.0)},  # a float, equal to 1
+        {(0, 1, 2)},  # not a pair
+        {"01"},
+        [[0, 1]],  # unhashable
+        5,  # not a set of boxes
+    ],
+)
+def test_mesh_boxes_must_be_int_pairs_in_range(shaded):
+    # the valid (0, 1) kernel is cached first, so an equal key must not reuse it
+    assert contains_mesh((1, 3, 2), MeshPattern((1, 3, 2), frozenset({(0, 1)})))
+    built = _kernel.cache_info().currsize
+    with pytest.raises(InvalidInputError, match="shaded box"):
+        contains_mesh((1, 3, 2), MeshPattern((1, 3, 2), shaded))
+    assert _kernel.cache_info().currsize == built
 
 
 def test_contains_classical_basics():

@@ -183,6 +183,10 @@ def test_active_sites():
     assert active_sites_1221((1,)) == range(1, 3)
     assert active_sites_1221((1, 2, 3)) == range(1, 5)
     assert active_sites_1221((1, 2, 3, 2)) == range(2, 5)
+    assert active_sites_1221((1, 1, 2, 3, 3, 4)) == range(3, 6)
+    assert active_sites_1221(()) == range(1, 2)
+    with pytest.raises(InvalidInputError, match="contains 1221"):
+        active_sites_1221((1, 2, 2, 1))
 
 
 def test_max_distribution_matches_narayana():
