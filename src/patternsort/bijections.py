@@ -287,16 +287,16 @@ def av321_to_rgf(pi: Iterable[int]) -> Rgf:
 # -- words avoiding 12231 <-> words avoiding 12321 -------------------------
 
 class TripleIndex(NamedTuple):
-    """1-based occurrence positions; all-0 and all-(n+1) are the
-    no-occurrence conventions of the two scans."""
+    """1-based occurrence positions."""
 
     i1: int
     i2: int
     i3: int
 
 
-def rightmost_321(word: Iterable[int]) -> TripleIndex:
-    """Lexicographically largest positions of a strictly decreasing triple."""
+def rightmost_321(word: Iterable[int]) -> TripleIndex | None:
+    """Lexicographically largest positions of a strictly decreasing triple,
+    or None."""
     r = tuple(word)
     n = len(r)
     # right to left: low is the least letter seen, mid the least one with
@@ -311,7 +311,7 @@ def rightmost_321(word: Iterable[int]) -> TripleIndex:
         else:
             low = v
     else:
-        return TripleIndex(0, 0, 0)
+        return None
     # the middle entry: the rightmost letter below v with a smaller one after it
     low = inf
     for b in range(n - 1, a, -1):
@@ -323,9 +323,9 @@ def rightmost_321(word: Iterable[int]) -> TripleIndex:
     return TripleIndex(a + 1, b + 1, c + 1)
 
 
-def leftmost_repeat_231(word: Iterable[int]) -> TripleIndex:
+def leftmost_repeat_231(word: Iterable[int]) -> TripleIndex | None:
     """Lexicographically least 231 occurrence whose first letter is a
-    repeat (not the first occurrence of its value)."""
+    repeat (not the first occurrence of its value), or None."""
     r = tuple(word)
     n = len(r)
     after = [inf] * n  # after[k]: least letter right of index k
@@ -346,13 +346,13 @@ def leftmost_repeat_231(word: Iterable[int]) -> TripleIndex:
                     c = next(k for k in range(b + 1, n) if r[k] < v)
                     return TripleIndex(a + 1, b + 1, c + 1)
         seen.add(v)
-    return TripleIndex(n + 1, n + 1, n + 1)
+    return None
 
 
 def _has_repeat_231(r: Rgf) -> bool:
     """On an RGF this is the same as containing 12231: the first
     occurrence of the 1 precedes that of the repeated 2."""
-    return leftmost_repeat_231(r).i1 <= len(r)
+    return leftmost_repeat_231(r) is not None
 
 
 _GAMMA_STEP_LIMIT_POWER = 3
@@ -380,17 +380,12 @@ def to_12321_avoider(
         raise InvalidInputError(f"{r} contains a repeat-led 231")
     steps: list[TripleIndex] = []
     limit = max(1, len(r)) ** _GAMMA_STEP_LIMIT_POWER
-    prev = None
-    while True:
-        t = rightmost_321(r)
-        if t == TripleIndex(0, 0, 0):
-            break
-        if prev is not None and not t < prev:
-            raise MalformedInputError(f"triple {t} did not decrease below {prev}")
+    while (t := rightmost_321(r)) is not None:
+        if steps and not t < steps[-1]:
+            raise MalformedInputError(f"triple {t} did not decrease below {steps[-1]}")
         if len(steps) >= limit:
             raise MalformedInputError(f"swap loop exceeded {limit} steps")
         steps.append(t)
-        prev = t
         r = _swap(r, t.i1, t.i2)
     validate(r)
     return (r, steps) if with_steps else r
@@ -404,16 +399,11 @@ def to_12231_avoider(
     Defined on 321-free words; inverse of to_12321_avoider.
     """
     r = validate(word)
-    if rightmost_321(r) != TripleIndex(0, 0, 0):
+    if rightmost_321(r) is not None:
         raise InvalidInputError(f"{r} contains 321")
-    n = len(r)
-    sentinel = TripleIndex(n + 1, n + 1, n + 1)
     steps: list[TripleIndex] = []
-    limit = max(1, n) ** _GAMMA_STEP_LIMIT_POWER
-    while True:
-        t = leftmost_repeat_231(r)
-        if t == sentinel:
-            break
+    limit = max(1, len(r)) ** _GAMMA_STEP_LIMIT_POWER
+    while (t := leftmost_repeat_231(r)) is not None:
         if len(steps) >= limit:
             raise MalformedInputError(f"swap loop exceeded {limit} steps")
         steps.append(t)

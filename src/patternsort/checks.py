@@ -27,7 +27,6 @@ from .perms import (
     format_perm,
     is_layered,
     _contains_231,
-    _contains_2314,
     _contains_321,
     _is_layered_by_avoidance,
     ltr_minima,
@@ -189,7 +188,7 @@ def _check_trace_invariants(bound: int) -> str:
                 if tuple(pushes) != p or tuple(pops) != out:
                     raise _Fail(f"{format_perm(p)} sigma={format_perm(sigma)}")
                 for _, _, snap in trace.events:
-                    if contains_classical(standardize(snap), sigma):
+                    if contains_classical(snap, sigma):
                         raise _Fail(
                             f"{format_perm(p)} sigma={format_perm(sigma)} snap={snap}"
                         )
@@ -240,7 +239,6 @@ def _check_perm_layered(bound: int) -> str:
 def _check_perm_fast_patterns(bound: int) -> str:
     scans = (
         ((2, 3, 1), _contains_231),
-        ((2, 3, 1, 4), _contains_2314),
         ((3, 2, 1), _contains_321),
     )
     for n in range(1, bound + 1):

@@ -332,7 +332,7 @@ def _table_rows(args) -> tuple[str, list[tuple[int, int]], int]:
     status = 0
     if kind == "a007317":
         header = "n,value"
-        rows = [(i, sequences.a007317(i - 1)) for i in range(1, n + 1)]
+        rows = list(enumerate(sequences.a007317_terms(n), start=1))
     elif kind == "narayana":
         header = "k,value"
         rows = [(k, sequences.narayana(n, k)) for k in range(1, n + 1)]

@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import InsertRejected, InvalidInputError, ResourceLimitError
 from .machine import DEFAULT_PERM_CAP, is_sigma_sortable
-from .perms import Perm, as_perm, avoids, ltr_minima, standardize
+from .perms import Perm, as_perm, avoids, ltr_minima
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ class StructuralReport(NamedTuple):
 
 
 def _is_colayered_word(w: Perm) -> bool:
-    return avoids(standardize(w), (2, 1, 3), (1, 3, 2))
+    return avoids(w, (2, 1, 3), (1, 3, 2))
 
 
 def structural_check(pi: Iterable[int]) -> StructuralReport:
@@ -147,7 +147,7 @@ def structural_check(pi: Iterable[int]) -> StructuralReport:
 
     cells_colayered = all(_is_colayered_word(c) for c in d.cells.values())
     strips_colayered = all(_is_colayered_word(h) for h in d.hstrips)
-    core_ok = avoids(standardize(d.core), (2, 1, 3))
+    core_ok = avoids(d.core, (2, 1, 3))
 
     return StructuralReport(
         (

@@ -44,7 +44,6 @@ from .errors import InvalidInputError, ResourceLimitError
 from .perms import (
     Perm,
     _contains_231,
-    _contains_2314,
     all_perms,
     as_perm,
     avoids,
@@ -352,10 +351,10 @@ def verify_characterizations(
         raise ResourceLimitError(f"refusing verification at n={n} (cap {cap})")
 
     if s == (1, 3, 2):
-        # machine-perm-fast-patterns and machine-perm-mesh-predicate check
-        # both fast tests against the generic matchers up to n = 8
+        # machine-perm-mesh-predicate checks mu_predicate against the
+        # generic mesh matcher up to n = 8
         kind, what = "mesh-basis", "avoiders of 2314 and the shaded 132"
-        predicted = lambda p: not _contains_2314(p) and not mu_predicate(p)
+        predicted = lambda p: avoids(p, (2, 3, 1, 4)) and not mu_predicate(p)
     elif _contains_231(sigma_hat(s)):
         rev = reverse(s)
         kind, what = "class", "avoiders of 132 and the reversed control"

@@ -272,7 +272,10 @@ MU = MeshPattern((1, 3, 2), frozenset({(0, 2), (2, 0), (2, 1)}))
 def contains_mesh(w: Perm, mp: MeshPattern) -> bool:
     """Mesh containment: some classical occurrence has all shaded boxes empty.
 
-    A shaded box that is not a pair of ints in 0..len(mp.tau) raises
+    The host w must be a permutation of 1..n: the boxes along the plot's
+    edges reach up to the sentinels 0 and n+1, so mesh matching, unlike
+    classical matching, depends on the letters and not only on their
+    order.  A shaded box that is not a pair of ints in 0..len(mp.tau) raises
     InvalidInputError.
     """
     tau = tuple(mp.tau)
@@ -379,7 +382,8 @@ def all_perms(n: int) -> Iterator[Perm]:
     yield from itertools.permutations(range(1, n + 1))
 
 
-# fast containment tests for fixed patterns on hot paths; each is
+# fast containment tests for fixed patterns on hot paths; a scan stays only
+# while it beats the compiled kernel for its pattern, and each is
 # cross-tested against contains_classical
 
 
@@ -410,20 +414,3 @@ def _contains_231(w: Perm) -> bool:
         stack.append(v)
     return False
 
-
-def _contains_2314(w: Perm) -> bool:
-    n = len(w)
-    if n < 4:
-        return False
-    sufmax = [0] * (n + 1)
-    for j in range(n - 1, -1, -1):
-        sufmax[j] = max(sufmax[j + 1], w[j])
-    # roles: w[i]=2, w[j]=3, w[k]=1, suffix max past k plays 4
-    for k in range(2, n - 1):
-        for i in range(k):
-            if w[i] <= w[k]:
-                continue
-            for j in range(i + 1, k):
-                if w[j] > w[i] and sufmax[k + 1] > w[j]:
-                    return True
-    return False

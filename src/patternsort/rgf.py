@@ -6,8 +6,10 @@ makes RGFs of length n the standard encoding of set partitions of {1..n}.
 
 Pattern containment on words is tie-aware: a subsequence matches a pattern
 when equal letters map to equal letters and the strict order is preserved.
-Patterns are standardized before matching, so 2231 and 12231 may be written
-interchangeably wherever deleting a forced prefix does not matter.
+Matching compares letters only by their order, so neither the word nor the
+pattern needs standardizing first: 3341 and 2231 are the same pattern, and
+2231 and 12231 may be written interchangeably wherever deleting a forced
+prefix does not matter.
 """
 
 from __future__ import annotations

@@ -54,6 +54,23 @@ def a007317(n: int) -> int:
     return sum(comb(n, k) * catalan(k) for k in range(n + 1))
 
 
+def a007317_terms(count: int) -> list[int]:
+    """a007317(0), ..., a007317(count - 1) by the P-recurrence
+
+        (n + 1) a(n) = (6n - 2) a(n - 1) - 5(n - 1) a(n - 2),
+
+    with a(0) = 1 and a(1) = 2.  Each division is exact.  A term costs a
+    few big-int operations here, where the closed form sums n + 1
+    binomial products for term n.
+    """
+    if count < 0:
+        raise InvalidInputError("a007317_terms needs count >= 0")
+    terms = [1, 2][:count]
+    for n in range(2, count):
+        terms.append(((6 * n - 2) * terms[n - 1] - 5 * (n - 1) * terms[n - 2]) // (n + 1))
+    return terms
+
+
 def catalan_double_partial_sums(n: int) -> int:
     """Twice-iterated partial sums of Catalan numbers starting at c_1.
 
@@ -95,6 +112,8 @@ def cf_series(depth: int, variant: str, terms: int | None = None) -> list[int]:
     """
     if depth < 1:
         raise InvalidInputError("depth must be >= 1")
+    if terms is not None and terms < 1:
+        raise InvalidInputError("terms must be >= 1")
     if variant == "a007317":
         head, tail = 2, 3
     elif variant == "catalan":

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -169,6 +170,21 @@ def test_table_bfile(capsys):
     code, out, _ = run(capsys, "table", "a007317", "--n", "3", "--format", "bfile")
     assert code == 0
     assert out == "1 1\n2 2\n3 5\n"
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("csv", "a75f888e34c90ff98cfa524fce83d75c80f951e3424c16214964f3be9e48d98a"),
+        ("json", "fd1e03d091cdb2541f80714a6cf8118e12b4187a85ce5dc06440809971953f41"),
+        ("bfile", "fa7f69fbc9f3e235345efa258ea480010aa664bb702011e4c2650f7ea6da5571"),
+    ],
+)
+def test_table_a007317_by_recurrence(capsys, fmt, digest):
+    # sha256 of what the table printed when the closed form built its rows
+    code, out, _ = run(capsys, "table", "a007317", "--n", "60", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_table_json(capsys):

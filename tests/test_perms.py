@@ -35,6 +35,8 @@ from patternsort.perms import (
 from patternsort.rgf import all_words_standardized, enumerate_rgfs, word_standardize
 
 perm_lists = st.permutations(list(range(1, 7)))
+# every pattern of length at most 4, ties included
+SHORT_PATTERNS = [p for k in range(1, 5) for p in all_words_standardized(k)]
 CHECKS = {c.name: c for c in _REGISTRY}
 
 
@@ -108,7 +110,6 @@ def test_standardize():
 def test_first_occurrence_matches_bruteforce():
     # oracle: every position subset in lex order, grouped by the word it
     # standardizes to, so each pattern's occurrences come out lex-sorted
-    patterns = [p for k in range(1, 5) for p in all_words_standardized(k)]
     hosts = [w for n in range(7) for w in enumerate_rgfs(n)]
     hosts += [p for n in range(1, 7) for p in all_perms(n)]
     for w in hosts:
@@ -117,7 +118,7 @@ def test_first_occurrence_matches_bruteforce():
         for k in range(1, 5):
             for pos in combinations(range(n), k):
                 occs.setdefault(word_standardize([w[q] for q in pos]), []).append(pos)
-        for pat in patterns:
+        for pat in SHORT_PATTERNS:
             for head in (False, True):
                 for tail in (False, True):
                     want = [
@@ -126,6 +127,21 @@ def test_first_occurrence_matches_bruteforce():
                     ]
                     got = first_occurrence(w, pat, head=head, tail=tail)
                     assert got == (want[0] if want else None), (w, pat, head, tail)
+
+
+@given(st.lists(st.integers(-40, 40), max_size=9, unique=True))
+def test_classical_matching_is_order_only(lst):
+    # hosts of distinct letters with gaps and negatives match as their
+    # standardization does, which is what lets the grid and the trace
+    # check hand unstandardized words to the matcher; mesh matching is
+    # left out, since its box sentinels 0 and n+1 depend on the letters
+    w = tuple(lst)
+    std = standardize(w)
+    for pat in SHORT_PATTERNS:
+        for head in (False, True):
+            for tail in (False, True):
+                got = first_occurrence(w, pat, head, tail)
+                assert got == first_occurrence(std, pat, head, tail), (w, pat, head, tail)
 
 
 def _boxes_empty(w, occ, shaded):

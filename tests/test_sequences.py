@@ -3,6 +3,7 @@ import pytest
 from patternsort.errors import InvalidInputError
 from patternsort.sequences import (
     a007317,
+    a007317_terms,
     bell,
     catalan,
     catalan_double_partial_sums,
@@ -74,6 +75,14 @@ def test_max_distribution_formula():
         max_distribution_formula(3, -1)
 
 
+def test_a007317_terms_match_closed_form():
+    assert a007317_terms(200) == [a007317(n) for n in range(200)]
+    assert a007317_terms(0) == []
+    assert a007317_terms(1) == [1]
+    with pytest.raises(InvalidInputError):
+        a007317_terms(-1)
+
+
 def test_cf_series_heads():
     assert cf_series(1, "a007317", terms=4) == [1, 2, 4, 8]
     assert cf_series(10, "a007317", terms=9) == [a007317(n) for n in range(9)]
@@ -82,6 +91,11 @@ def test_cf_series_heads():
     assert cf_series(11, "a007317", terms=9) == cf_series(10, "a007317", terms=9)
     with pytest.raises(InvalidInputError):
         cf_series(0, "a007317")
+    for terms in (0, -1, -5):
+        with pytest.raises(InvalidInputError):
+            cf_series(3, "a007317", terms=terms)
+        with pytest.raises(InvalidInputError):
+            cf_series(1, "catalan", terms=terms)
     with pytest.raises(InvalidInputError):
         cf_series(3, "golden")
     with pytest.raises(InvalidInputError):
