@@ -17,12 +17,10 @@ from typing import Callable, NamedTuple
 from . import bijections, grid, machine, paths, rgf, sequences
 from .errors import InvalidInputError
 from .perms import (
-    MU,
     Perm,
     all_perms,
     avoids,
     contains_classical,
-    contains_mesh,
     complement,
     format_perm,
     is_layered,
@@ -30,7 +28,6 @@ from .perms import (
     _contains_321,
     _is_layered_by_avoidance,
     ltr_minima,
-    mu_predicate,
     standardize,
 )
 
@@ -247,14 +244,6 @@ def _check_perm_fast_patterns(bound: int) -> str:
                 if scan(p) != contains_classical(p, q):
                     raise _Fail(f"{format_perm(q)} on {format_perm(p)}")
     return f"specialized pattern scans match the generic matcher, n <= {bound}"
-
-
-def _check_perm_mesh_predicate(bound: int) -> str:
-    for n in range(1, bound + 1):
-        for p in all_perms(n):
-            if contains_mesh(p, MU) != mu_predicate(p):
-                raise _Fail(format_perm(p))
-    return f"shaded-box matcher agrees with the direct predicate, n <= {bound}"
 
 
 # -- grid scope ------------------------------------------------------------
@@ -744,7 +733,6 @@ _REGISTRY: tuple[Check, ...] = (
     Check("machine-stack-shape", "machine", 8, _check_stack_shape),
     Check("machine-perm-layered", "machine", 7, _check_perm_layered),
     Check("machine-perm-fast-patterns", "machine", 8, _check_perm_fast_patterns),
-    Check("machine-perm-mesh-predicate", "machine", 8, _check_perm_mesh_predicate),
     Check("grid-reconstruction", "grid", 9, _check_grid_reconstruction),
     Check("grid-generator-equivalence", "grid", 8, _check_grid_generator),
     Check("grid-children-count", "grid", 8, _check_grid_children),

@@ -42,13 +42,14 @@ from typing import Iterable, NamedTuple
 
 from .errors import InvalidInputError, ResourceLimitError
 from .perms import (
+    MU,
     Perm,
     _contains_231,
     all_perms,
     as_perm,
     avoids,
+    contains_mesh,
     first_occurrence,
-    mu_predicate,
     reverse,
     standardize,
 )
@@ -347,14 +348,14 @@ def verify_characterizations(
     every permutation on which it and the machine disagree.
     """
     s = _check_sigma(sigma)
+    if n < 0:
+        raise InvalidInputError("length must be nonnegative")
     if n > cap:
         raise ResourceLimitError(f"refusing verification at n={n} (cap {cap})")
 
     if s == (1, 3, 2):
-        # machine-perm-mesh-predicate checks mu_predicate against the
-        # generic mesh matcher up to n = 8
         kind, what = "mesh-basis", "avoiders of 2314 and the shaded 132"
-        predicted = lambda p: avoids(p, (2, 3, 1, 4)) and not mu_predicate(p)
+        predicted = lambda p: avoids(p, (2, 3, 1, 4)) and not contains_mesh(p, MU)
     elif _contains_231(sigma_hat(s)):
         rev = reverse(s)
         kind, what = "class", "avoiders of 132 and the reversed control"

@@ -297,36 +297,6 @@ def contains_mesh(w: Perm, mp: MeshPattern) -> bool:
     return _kernel(tau, False, False, shaded)(w) is not None
 
 
-def mu_predicate(w: Perm) -> bool:
-    """Direct test for containment of :data:`MU`, bypassing the generic mesh scan.
-
-    Looks for values a < b < c appearing in the order a, c, b such that
-    every entry left of a is below b or above c, and every entry strictly
-    between c and b (by position) is above b.
-    """
-    n = len(w)
-    for i in range(n):
-        a = w[i]
-        for j in range(i + 1, n):
-            c = w[j]
-            if c <= a:
-                continue
-            for k in range(j + 1, n):
-                b = w[k]
-                if not (a < b < c):
-                    continue
-                for q in range(i):  # box (0,2): left of a, between b and c
-                    if b < w[q] < c:
-                        break
-                else:
-                    for q in range(j + 1, k):  # boxes (2,0),(2,1): below b
-                        if w[q] < b:
-                            break
-                    else:
-                        return True
-    return False
-
-
 def ltr_minima(w: Perm) -> list[tuple[int, int]]:
     """Left-to-right minima as (position, value), 1-based positions."""
     out: list[tuple[int, int]] = []

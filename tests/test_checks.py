@@ -10,7 +10,7 @@ from patternsort.errors import MalformedInputError
 
 # (checks, sha256) over (name, scope, passed, detail, counterexample) of
 # each result of run_checks("all", 6)
-REPORT_GOLDEN = (48, "05cf3111c544f835e7cb0e5fcb37acc28c1ee27824fa49874e46f2448cc4ccc8")
+REPORT_GOLDEN = (47, "fc47285f0c7c0c49d8dfe63dddb2fc61972aad6899ea9062b6e03c506d18b5a5")
 
 
 def test_scopes_cover_registry():
@@ -74,7 +74,7 @@ def test_failing_check_reports_counterexample(monkeypatch, capsys):
 
 def test_characterization_failure_reports_first_counterexample(monkeypatch):
     # a shaded 132 that is never contained predicts 132 itself sortable
-    monkeypatch.setattr(machine, "mu_predicate", lambda p: False)
+    monkeypatch.setattr(machine, "contains_mesh", lambda w, mp: False)
     assert machine.verify_characterizations(3, (1, 3, 2)).counterexamples == ((1, 3, 2),)
     failed = [r for r in run_checks("machine", 3) if not r.passed]
     assert [(r.name, r.counterexample) for r in failed] == [

@@ -129,6 +129,13 @@ def test_verify_characterizations_kinds():
     assert rep.counterexamples
 
 
+@pytest.mark.parametrize("sigma", [*permutations((1, 2, 3)), (1, 2, 3, 4)])
+def test_verify_characterizations_rejects_negative_length(sigma):
+    # every kind of control, the witness search included, refuses n < 0
+    with pytest.raises(InvalidInputError):
+        verify_characterizations(-1, sigma)
+
+
 def test_enumeration_cap():
     with pytest.raises(ResourceLimitError):
         enumerate_sortable(DEFAULT_PERM_CAP + 1, (1, 3, 2))

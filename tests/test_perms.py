@@ -166,21 +166,22 @@ def test_mesh_kernel_matches_bruteforce():
         k = len(tau)
         boxes = {(rng.randint(0, k), rng.randint(0, k)) for _ in range(rng.randint(0, 5))}
         meshes.append(MeshPattern(tau, frozenset(boxes)))
-    for n in range(7):
-        for w in all_perms(n):
-            for mp in meshes:
-                want = next(
-                    (
-                        occ
-                        for occ in combinations(range(n), len(mp.tau))
-                        if standardize(w[q] for q in occ) == mp.tau
-                        and _boxes_empty(w, occ, mp.shaded)
-                    ),
-                    None,
-                )
-                got = _kernel(mp.tau, False, False, mp.shaded)(w)
-                assert got == want, (w, mp)
-                assert contains_mesh(w, mp) == (want is not None)
+    # MU, the shaded 132 of the characterization, also on all of S_7
+    cases = [(w, mp) for n in range(7) for w in all_perms(n) for mp in meshes]
+    cases += [(w, MU) for w in all_perms(7)]
+    for w, mp in cases:
+        want = next(
+            (
+                occ
+                for occ in combinations(range(len(w)), len(mp.tau))
+                if standardize(w[q] for q in occ) == mp.tau
+                and _boxes_empty(w, occ, mp.shaded)
+            ),
+            None,
+        )
+        got = _kernel(mp.tau, False, False, mp.shaded)(w)
+        assert got == want, (w, mp)
+        assert contains_mesh(w, mp) == (want is not None)
 
 
 @pytest.mark.parametrize(
