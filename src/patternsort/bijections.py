@@ -18,6 +18,7 @@ from .perms import Perm, _contains_321, as_perm
 from .rgf import (
     Rgf,
     _contains_1221,
+    _contains_12231,
     _contains_12323,
     _contains_12332,
     validate,
@@ -41,16 +42,20 @@ def sortable_to_rgf(pi: Iterable[int], relaxed: bool = False) -> Rgf:
 def rgf_to_sortable(word: Iterable[int]) -> Perm:
     """Rebuild the sortable permutation whose strip word is the input.
 
-    A first occurrence inserts a new minimum; any other letter j makes
-    the one legal insertion into row j of the last column.
+    One growth state takes the letters in place: a first occurrence
+    appends a new minimum at the bottom of the linked value order, and
+    any other letter j makes the one legal insertion into row j of the
+    last column, directly above its pivot.  Each letter costs amortised
+    O(1), and the permutation is read off the value order once, at the
+    end.
     """
     r = validate(word)
-    if _has_repeat_231(r):
+    if _contains_12231(r):
         raise InvalidInputError(f"{r} contains 12231")
     s = GrowthState()
     try:
         for j in r:
-            s = s.new_min() if j == len(s.minima) + 1 else s.insert(j)
+            s._step(j)
     except InsertRejected as exc:
         raise MalformedInputError(f"no legal insertion for {r}: {exc}") from exc
     return s.perm
@@ -349,12 +354,6 @@ def leftmost_repeat_231(word: Iterable[int]) -> TripleIndex | None:
     return None
 
 
-def _has_repeat_231(r: Rgf) -> bool:
-    """On an RGF this is the same as containing 12231: the first
-    occurrence of the 1 precedes that of the repeated 2."""
-    return leftmost_repeat_231(r) is not None
-
-
 _GAMMA_STEP_LIMIT_POWER = 3
 
 
@@ -376,7 +375,7 @@ def to_12321_avoider(
     the same letter multiset.
     """
     r = validate(word)
-    if _has_repeat_231(r):
+    if _contains_12231(r):  # on an RGF, the same as a repeat-led 231
         raise InvalidInputError(f"{r} contains a repeat-led 231")
     steps: list[TripleIndex] = []
     limit = max(1, len(r)) ** _GAMMA_STEP_LIMIT_POWER

@@ -293,7 +293,8 @@ def _check_grid_children(bound: int) -> str:
                 raise _Fail(f"{format_perm(p)}: children are not one per active cell")
             for _, c in kids:
                 read = grid.GrowthState.of(c.perm)
-                if (c.minima, c.last, c.high) != (read.minima, read.last, read.high):
+                state = (c.minima, c.last, c.high, c.active())
+                if state != (read.minima, read.last, read.high, read.active()):
                     raise _Fail(f"{format_perm(c.perm)}: grown state differs")
             grown.extend(perms)
         level = machine.enumerate_sortable(n + 1, (1, 3, 2))

@@ -9,8 +9,13 @@ row of each entry in position order.  For sortable permutations the
 last column carries a notion of active cells, and appending one new
 element per active cell (plus a brand new minimum) generates every
 sortable permutation of the next length exactly once.  GrowthState
-carries just what such a step needs, so growing a permutation costs O(n)
-per entry instead of a fresh decomposition.
+carries just what such a step needs, in place: the value order as a
+linked list over positions (every insertion lands directly above its
+pivot, so no existing entry changes), the ltr-minima and the last column
+as positions, and the floor of the active cells, kept up to date as
+entries arrive.  A step costs amortised O(1) instead of a fresh
+decomposition, and the permutation, its minima and its last column are
+read off the list only when asked for.
 """
 
 from __future__ import annotations
@@ -178,43 +183,80 @@ class InsertionKind(NamedTuple):
 
 class GrowthState:
     """What one step of the generating tree needs to know about a sortable
-    permutation, kept up to date in O(n) per insertion.
+    permutation, kept up to date in place at amortised O(1) per entry.
 
-    ``minima`` are the ltr-minima values m_1 > ... > m_k, ``last`` the
-    (value, row) pairs of the last column C_{., k} in position order, and
-    ``high`` the highest row index used by a non-minimum outside the last
-    column (0 if none).  An insertion never changes the row of an existing
-    entry, so rows are computed once, when the entry is appended.
+    Entries are named by their positions, which an insertion never moves.
+    Every insertion puts the new entry directly above its pivot in value
+    order, and a new minimum goes at the bottom, so the value order is a
+    linked list: ``_up[e]`` is the entry just above e, or -1 for the
+    top.  The ltr-minima are kept as positions; the last of them is the
+    bottom of the list, and the last column C_{., k} is the run of
+    positions after it.  An entry's row is fixed when it is appended.
+    ``high`` is the highest row index used by a non-minimum outside the
+    last column (0 if none).
+
+    The active cells are the rows from ``_floor`` up to k.  A column opens
+    with the floor at max(1, high); it then rises to the row of each
+    last-column entry that a smaller one follows.  ``_stack`` holds the
+    occupied last-column rows r >= floor, the largest at the bottom and
+    the row of the latest entry on top, and ``_cells`` maps each occupied
+    row to its latest entry, the pivot of a consecutive insertion.
+
+    ``perm``, ``minima`` and ``last`` are views, read off the list when
+    asked for.
     """
 
-    __slots__ = ("perm", "minima", "last", "high")
+    __slots__ = ("_up", "_minima", "high", "_floor", "_stack", "_cells")
 
-    def __init__(
-        self,
-        perm: Perm = (),
-        minima: tuple[int, ...] = (),
-        last: tuple[tuple[int, int], ...] = (),
-        high: int = 0,
-    ) -> None:
-        self.perm = perm
-        self.minima = minima
-        self.last = last
-        self.high = high
+    def __init__(self) -> None:
+        """The state of the empty permutation."""
+        self._up: list[int] = []
+        self._minima: list[int] = []
+        self.high = 0
+        self._floor = 1
+        self._stack: list[int] = []
+        self._cells: dict[int, int] = {}
 
     @classmethod
     def of(cls, p: Perm) -> GrowthState:
         """The state of a permutation, read in one left-to-right pass."""
-        minima: list[int] = []
-        last: list[tuple[int, int]] = []
-        high = 0
-        for x, i in zip(p, strip_word(p)):
-            if i > len(minima):  # a first letter i is the i-th minimum
-                high = max([high, *(r for _, r in last)])
-                minima.append(x)
-                last = []
+        s = cls()
+        at = [0] * len(p)  # at[v - 1]: the position of value v
+        for x, v in enumerate(p):
+            at[v - 1] = x
+        s._up = up = [-1] * len(p)
+        for a, b in zip(at, at[1:]):
+            up[a] = b
+        for x, i in enumerate(strip_word(p)):
+            if i > len(s._minima):  # a first letter i is the i-th minimum
+                s._open(x)
             else:
-                last.append((x, i))
-        return cls(tuple(p), tuple(minima), tuple(last), high)
+                s._place(x, i)
+        return s
+
+    @property
+    def perm(self) -> Perm:
+        """The permutation, read off the value order."""
+        up = self._up
+        value = [0] * len(up)
+        e = self._minima[-1] if up else 0  # the bottom
+        for v in range(1, len(up) + 1):
+            value[e] = v
+            e = up[e]
+        return tuple(value)
+
+    @property
+    def minima(self) -> tuple[int, ...]:
+        """The ltr-minima values m_1 > ... > m_k."""
+        p = self.perm
+        return tuple(p[x] for x in self._minima)
+
+    @property
+    def last(self) -> tuple[tuple[int, int], ...]:
+        """The (value, row) pairs of the last column, in position order."""
+        p = self.perm
+        start = self._minima[-1] + 1 if p else 0
+        return tuple(zip(p[start:], strip_word(p)[start:]))
 
     def active(self) -> range:
         """Rows i of the last column where an insertion stays sortable.
@@ -224,49 +266,83 @@ class GrowthState:
         Both conditions only get easier as i grows, so the active cells
         are the rows from a floor up to k.
         """
-        floor = max(1, self.high)
-        smallest = None
-        for v, r in reversed(self.last):
-            if smallest is not None and v > smallest:
-                floor = max(floor, r)  # a later, smaller entry sits in a row >= r
-            else:
-                smallest = v
-        return range(floor, len(self.minima) + 1)
+        return range(self._floor, len(self._minima) + 1)
 
-    def _legal(self, i: int) -> tuple[str, int]:
-        """The one legal insertion into active cell (i, k) and its pivot.
+    def _inactive(self, i: int) -> InsertRejected:
+        return InsertRejected("inactive", f"cell ({i},{len(self._minima)}) is not active")
 
-        It is the successor of the cell's last entry ("cons") when the cell
-        is nonempty and the permutation's last entry sits in row i or
-        above, and a new smallest entry of the cell ("min") otherwise.
+    def _open(self, x: int) -> None:
+        """Make entry x the last ltr-minimum, with an empty last column."""
+        if self._stack:  # its bottom is the largest occupied row
+            self.high = max(self.high, self._stack[0])
+        self._minima.append(x)
+        self._stack = []
+        self._cells = {}
+        self._floor = max(1, self.high)
+
+    def _place(self, x: int, i: int) -> None:
+        """Make entry x the latest of last-column row i.
+
+        Every earlier last-column entry in a row r < i is above x, so it
+        is now followed by a smaller one, and the floor rises to the
+        largest such r.  Row i itself needs no test.  The first entry
+        placed below another of its cell is a cell-minimum insertion (a
+        consecutive one lands directly above the cell's latest entry), and
+        that comes only after an entry in a lower row r > i, whose
+        placement already raised the floor to i.
         """
-        if self._last_row() <= i:
-            for v, r in reversed(self.last):
-                if r == i:
-                    return "cons", v
-        return "min", self.minima[i - 1]
+        self._cells[i] = x
+        stack = self._stack
+        while stack and stack[-1] < i:
+            self._floor = stack.pop()  # each pop is larger, none below the floor
+        if not stack or stack[-1] > i:
+            stack.append(i)
 
-    def _last_row(self) -> int:
-        return self.last[-1][1] if self.last else len(self.minima)
+    def _step(self, i: int) -> str:
+        """Append one entry in row i, in place, and name the insertion.
 
-    def _grow(self, pivot: int, row: int) -> GrowthState:
-        """Append pivot + 1 in ``row``, shifting every value above pivot."""
-        return GrowthState(
-            tuple([x + 1 if x > pivot else x for x in self.perm]) + (pivot + 1,),
-            tuple([m + 1 if m > pivot else m for m in self.minima]),
-            tuple([(v + 1 if v > pivot else v, r) for v, r in self.last])
-            + ((pivot + 1, row),),
-            self.high,
-        )
+        Row k + 1 is a new minimum, at the bottom of the value order.  Any
+        other row must be active, and gets its one legal insertion: the
+        successor of the cell's latest entry ("cons") when the cell is
+        nonempty and the permutation's last entry sits in row i or above,
+        and a new smallest entry of the cell ("min") otherwise.  The new
+        entry goes directly above that pivot.
+        """
+        up = self._up
+        x = len(up)
+        minima = self._minima
+        k = len(minima)
+        if i == k + 1:
+            up.append(minima[-1] if k else -1)
+            self._open(x)
+            return "new-min"
+        if not self._floor <= i <= k:
+            raise self._inactive(i)
+        pivot = self._cells.get(i)
+        if pivot is not None and self._stack[-1] <= i:  # the latest entry's row
+            legal = "cons"
+        else:
+            legal, pivot = "min", minima[i - 1]
+        up.append(up[pivot])
+        up[pivot] = x
+        self._place(x, i)
+        return legal
+
+    def _child(self, i: int) -> tuple[str, GrowthState]:
+        """A copy of this state grown by one entry in row i, and the
+        insertion made."""
+        c = GrowthState.__new__(GrowthState)
+        c._up = self._up[:]
+        c._minima = self._minima[:]
+        c.high = self.high
+        c._floor = self._floor
+        c._stack = self._stack[:]
+        c._cells = self._cells.copy()
+        return c._step(i), c
 
     def new_min(self) -> GrowthState:
         """Append a new smallest entry, which opens an empty last column."""
-        return GrowthState(
-            tuple([x + 1 for x in self.perm]) + (1,),
-            tuple([m + 1 for m in self.minima]) + (1,),
-            (),
-            max([self.high, *(r for _, r in self.last)]),
-        )
+        return self._child(len(self._minima) + 1)[1]
 
     def insert(self, i: int, kind: str | None = None) -> GrowthState:
         """The child grown in cell (i, k) by its one legal insertion.
@@ -274,25 +350,25 @@ class GrowthState:
         ``kind`` ("min" or "cons") demands that insertion: the other one
         is rejected with the reason it is not legal.
         """
-        k = len(self.minima)
         if i not in self.active():
-            raise InsertRejected("inactive", f"cell ({i},{k}) is not active")
-        legal, pivot = self._legal(i)
+            raise self._inactive(i)
+        legal, c = self._child(i)
         if kind is not None and kind != legal:
-            row = self._last_row()
+            k = len(self._minima)
+            row = self._stack[-1] if self._stack else k  # the latest entry's row
             if legal == "cons":
                 raise InsertRejected("illegal-op", f"last entry sits in row {row} <= {i}")
-            if all(r != i for _, r in self.last):
+            if i not in self._cells:
                 raise InsertRejected("empty-cell", f"cell ({i},{k}) is empty")
             raise InsertRejected("illegal-op", f"last entry sits in row {row} > {i}")
-        return self._grow(pivot, i)
+        return c
 
     def children(self) -> list[tuple[InsertionKind, GrowthState]]:
         """The new minimum plus the single legal insertion per active cell."""
         out = [(InsertionKind("new-min"), self.new_min())]
         for i in self.active():
-            legal, pivot = self._legal(i)
-            out.append((InsertionKind(legal, i), self._grow(pivot, i)))
+            legal, c = self._child(i)
+            out.append((InsertionKind(legal, i), c))
         return out
 
 
@@ -329,17 +405,26 @@ def children(pi: Iterable[int]) -> list[tuple[InsertionKind, Perm]]:
 
 
 def generate_sortable(n: int, cap: int = DEFAULT_PERM_CAP) -> list[Perm]:
-    """Sort_n(132) grown level by level from the one-element permutation."""
+    """Sort_n(132) grown depth first from the empty permutation.
+
+    Only the states on the current path and their waiting siblings are
+    alive at any time, so a whole level of states never has to be held
+    (or scanned by the garbage collector).
+    """
     if n < 0:
         raise InvalidInputError("length must be nonnegative")
     if n > cap:
         raise ResourceLimitError(f"refusing generation at n={n} (cap {cap})")
-    if n == 0:
-        return [()]
-    level = [GrowthState().new_min()]
-    for _ in range(n - 1):
-        level = [c for s in level for _, c in s.children()]
-    return sorted(s.perm for s in level)
+    todo = [GrowthState()]
+    out: list[Perm] = []
+    while todo:
+        s = todo.pop()
+        if len(s._up) == n:
+            out.append(s.perm)
+        else:
+            todo.extend(c for _, c in s.children())
+    out.sort()
+    return out
 
 
 def minima_distribution(n: int, cap: int = DEFAULT_PERM_CAP) -> Counter[int]:

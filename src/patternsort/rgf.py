@@ -101,6 +101,30 @@ def _contains_12332(r: Rgf) -> bool:
     return _repeat_then_smaller(r, 2)
 
 
+def _contains_12231(r: Rgf) -> bool:
+    """Some repeated letter b is followed by a larger letter, then by a
+    letter below b.  On an RGF that is an occurrence of 12231, since the
+    first occurrence of every letter below b precedes b.
+
+    A repeat that a larger letter has followed is armed, and only the
+    largest armed letter matters.  The repeats still waiting for a larger
+    letter form a stack that decreases towards its top: a letter arms the
+    waiting repeats below it, and a new repeat is then the smallest.
+    """
+    mx = armed = 0
+    waiting: list[int] = []
+    for v in r:
+        if v < armed:
+            return True
+        while waiting and waiting[-1] < v:
+            armed = waiting.pop()
+        if v > mx:
+            mx = v
+        elif v > armed and (not waiting or waiting[-1] > v):
+            waiting.append(v)
+    return False
+
+
 def _contains_12323(r: Rgf) -> bool:
     """Some two blocks other than the block of 1 cross.
 

@@ -2,6 +2,7 @@ import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from patternsort.bijections import (
     av321_to_rgf,
@@ -20,8 +21,10 @@ from patternsort.bijections import (
 from patternsort import bijections
 from patternsort.errors import InvalidInputError, MalformedInputError
 from patternsort.grid import children
+from patternsort.machine import enumerate_sortable
 from patternsort.paths import LABELED_STEPS, dyck_children, final_descent_length
 from patternsort.rgf import (
+    _contains_12231,
     active_sites_1221,
     enumerate_avoiders,
     enumerate_rgfs,
@@ -55,6 +58,22 @@ def test_phi_rejects():
     assert sortable_to_rgf((3, 1, 2), relaxed=True) == (1, 2, 2)
     with pytest.raises(InvalidInputError):
         rgf_to_sortable((1, 2, 2, 3, 1))
+
+
+def test_phi_inverse_matches_bruteforce():
+    # each 12231-avoider is the strip word of exactly one sortable
+    # permutation, which the replay returns; every other RGF is refused as
+    # invalid input (a MalformedInputError, a replay gone wrong, is not one)
+    for n in range(1, 9):
+        by_word: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for p in enumerate_sortable(n, (1, 3, 2)):
+            by_word.setdefault(sortable_to_rgf(p), []).append(p)
+        for w in enumerate_rgfs(n):
+            if rgf_contains(w, (1, 2, 2, 3, 1)):
+                with pytest.raises(InvalidInputError):
+                    rgf_to_sortable(w)
+            else:
+                assert [rgf_to_sortable(w)] == by_word[w], w
 
 
 
@@ -163,12 +182,30 @@ def test_triple_scans_match_bruteforce():
 
 
 def test_repeat_231_is_12231_on_rgfs():
-    # rgf_to_sortable and to_12321_avoider gate on the repeat-led 231 scan;
-    # the generic matcher is the reference
-    for n in range(9):
+    # rgf_to_sortable and to_12321_avoider gate on _contains_12231, and
+    # to_12231_avoider swaps at leftmost_repeat_231; the generic matcher is
+    # the reference for both
+    for n in range(10):
         for r in enumerate_rgfs(n):
-            found = leftmost_repeat_231(r) is not None
-            assert found == rgf_contains(r, (1, 2, 2, 3, 1)), r
+            found = rgf_contains(r, (1, 2, 2, 3, 1))
+            assert _contains_12231(r) == found, r
+            assert (leftmost_repeat_231(r) is not None) == found, r
+
+
+def _as_rgf(letters: list[int]) -> tuple[int, ...]:
+    """Clamp each letter to 1 + the running maximum, which gives an RGF."""
+    out, mx = [], 0
+    for v in letters:
+        v = min(v, mx + 1)
+        out.append(v)
+        mx = max(mx, v)
+    return tuple(out)
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(1, 61), max_size=60).map(_as_rgf))
+def test_12231_scan_matches_matcher(r):
+    assert _contains_12231(r) == rgf_contains(r, (1, 2, 2, 3, 1))
 
 
 def test_gamma_golden():

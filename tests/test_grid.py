@@ -155,7 +155,7 @@ def _append(p, v):
 
 
 def _fields(s):
-    return s.perm, s.minima, s.last, s.high
+    return s.perm, s.minima, s.last, s.high, s.active()
 
 
 def test_growth_state_matches_reference():
@@ -171,7 +171,8 @@ def test_growth_state_matches_reference():
             assert sorted(c.perm for _, c in kids) == extensions, p
             assert [kind.cell for kind, _ in kids] == [None, *s.active()], p
             for kind, c in kids:
-                # the incremental state equals the one read from scratch
+                # the incremental state, floor included, equals the one read
+                # from scratch
                 assert _fields(c) == _fields(GrowthState.of(c.perm)), (p, kind)
                 v = c.perm[-1]
                 if kind.kind == "new-min":
