@@ -4,12 +4,21 @@ Exit codes: 0 on success, 1 when a verification or cross-check fails,
 2 on usage errors (bad flags, malformed or oversized inputs).
 
 The argument parser is built once per process: ``build_parser()`` returns
-the same shared parser on every call, and ``main`` parses with it.
-Callers treat that parser as read-only, since a change to it would reach
-every later ``main`` call in the process.  Reuse is safe because argparse
-makes a fresh ``Namespace`` per parse and keeps no state between parses,
-and because usage errors and ``--help`` look up ``sys.stdout``,
-``sys.stderr`` and the terminal width when they print.
+the same shared parser on every call.  Callers treat that parser as
+read-only, since a change to it would reach every later ``main`` call in
+the process.  Reuse is safe because argparse makes a fresh ``Namespace``
+per parse and keeps no state between parses, and because usage errors
+and ``--help`` look up ``sys.stdout``, ``sys.stderr`` and the terminal
+width when they print.
+
+``main`` first tries ``_plain_args``, which reads plain argv straight off
+a table of the parser's own actions: a known verb, then that verb's exact
+flags, each at most once, with values that do not start with ``-``,
+convert by the flag's type and lie in its choices, and every required
+flag and positional present.  It answers the very ``Namespace`` that
+``parse_args`` would, or ``None``, and argparse decides everything else:
+help, usage errors, abbreviations, ``--flag=value``, ``--`` and negative
+numbers.  argparse stays the reference the table is tested against.
 """
 
 from __future__ import annotations
@@ -486,13 +495,92 @@ _DISPATCH = {
 }
 
 
+_PLAIN_KINDS = ((argparse._StoreAction, None), (argparse._StoreTrueAction, 0))
+
+
+def _is_plain(a: argparse.Action) -> bool:
+    """A single-value store or a store-true, typed ``int`` or not at all."""
+    return (type(a), a.nargs) in _PLAIN_KINDS and a.type in (None, int)
+
+
+@functools.cache
+def _verb_table() -> dict[str, tuple[dict, tuple, dict, frozenset]]:
+    """Per verb: its flags' actions by option string, its positionals, the
+    namespace's starting values and its required actions.
+
+    Only verbs whose every action but help is plain get an entry.
+    """
+    (sub,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    table = {}
+    for verb, p in sub.choices.items():
+        actions = [a for a in p._actions if not isinstance(a, argparse._HelpAction)]
+        if not all(map(_is_plain, actions)):
+            continue
+        flags, positionals, start = {}, [], {sub.dest: verb}
+        for a in actions:
+            start[a.dest] = a.default
+            if a.option_strings:
+                flags.update(dict.fromkeys(a.option_strings, a))
+            else:
+                positionals.append(a)
+        required = frozenset(a for a in actions if a.required)
+        table[verb] = (flags, tuple(positionals), start, required)
+    return table
+
+
+def _plain_args(argv: Sequence[str]) -> argparse.Namespace | None:
+    """What ``build_parser().parse_args(argv)`` returns, for plain argv;
+    ``None`` hands any other argv to argparse."""
+    entry = _verb_table().get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    flags, positionals, start, required = entry
+    args = argparse.Namespace()
+    values = vars(args)
+    values.update(start)
+    seen = set()
+    rest = iter(positionals)
+    tokens = iter(argv[1:])
+    for s in tokens:
+        if s[:1] != "-":
+            a = next(rest, None)
+            if a is None:
+                return None
+        elif s in flags and flags[s] not in seen:
+            a = flags[s]
+            if a.nargs == 0:
+                seen.add(a)
+                values[a.dest] = a.const
+                continue
+            s = next(tokens, "-")
+            if s[:1] == "-":
+                return None
+        else:
+            return None
+        if a.type is not None:
+            try:
+                s = a.type(s)
+            except (TypeError, ValueError):
+                return None
+        if a.choices is not None and s not in a.choices:
+            return None
+        seen.add(a)
+        values[a.dest] = s
+    return args if required <= seen else None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+            return code if isinstance(code, int) else 2
     try:
         body, status = _DISPATCH[args.verb](args)
     except (InvalidInputError, MalformedInputError, ResourceLimitError) as exc:

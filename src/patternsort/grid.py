@@ -48,17 +48,15 @@ class GridDecomposition:
 
     def describe(self) -> list[str]:
         """One line per horizontal strip, nonempty cells delimited."""
+        parts: list[list[str]] = [[] for _ in range(self.k)]
+        for (i, j), c in sorted(self.cells.items()):
+            parts[i - 1].append(f"C({i},{j})=" + ",".join([str(v) for v in c]))
         mv = self.minima_values
         lines = []
-        for i in range(1, self.k + 1):
+        for i, row in enumerate(parts, 1):
             top = "inf" if i == 1 else str(mv[i - 2])
             span = f"({mv[i - 1]}..{top})"
-            parts = [
-                f"C({i},{j})=" + ",".join(str(v) for v in self.cells[(i, j)])
-                for j in range(1, self.k + 1)
-                if (i, j) in self.cells
-            ]
-            lines.append(f"row {i} {span}: " + (" | ".join(parts) or "(no cells)"))
+            lines.append(f"row {i} {span}: " + (" | ".join(row) or "(no cells)"))
         return lines
 
 

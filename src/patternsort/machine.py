@@ -24,15 +24,16 @@ of x:
     213     below x    whether any lies above x, a y after one
 
 Controls whose y lies below x run on negated values, which puts y above
-x and keeps the statistic.  The generic machine (`_generic_pass`) serves
+x and keeps the statistic.  The generic machine (`_generic_output`) serves
 longer controls and is the reference the cut scan is cross-checked
 against; Stacksort serves 21.
 
 A pass is fixed by its input and its output, so traces are not recorded
 by the fast passes: `_replay` rebuilds the events from the output.  The
 top of the stack pops exactly when it is the next output letter, since
-pushing over it would bury it.  `_generic_pass` records its own events
-and is the reference the replay is cross-checked against.
+pushing over it would bury it.  `_generic_pass` has the generic machine
+record its own events and is the reference the replay is cross-checked
+against; an untraced pass records none.
 """
 
 from __future__ import annotations
@@ -97,7 +98,8 @@ class MachineTrace(NamedTuple):
     def as_lines(self) -> list[str]:
         out = []
         for op, value, snap in self.events:
-            shown = ",".join(str(v) for v in snap) if snap else "(empty)"
+            # on CPython 3.11 a list joins faster than map(str, snap) or a generator
+            shown = ",".join([str(v) for v in snap]) if snap else "(empty)"
             out.append(f"{op} {value} | stack: {shown}")
         return out
 
@@ -109,23 +111,30 @@ class MachineTrace(NamedTuple):
 
 
 def _generic_pass(pi: Perm, sigma: Perm) -> tuple[Perm, MachineTrace]:
+    events: list[tuple[str, int, tuple[int, ...]]] = []
+    out = _generic_output(pi, sigma, events)
+    return out, MachineTrace(tuple(events), out)
+
+
+def _generic_output(pi: Perm, sigma: Perm, events: list | None = None) -> Perm:
+    """The generic machine's output; its events go to ``events`` if given."""
     stack: tuple[int, ...] = ()  # top to bottom
     output: list[int] = []
-    events: list[tuple[str, int, tuple[int, ...]]] = []
     for x in pi:
         # the stack already avoids sigma, so a new occurrence must start
         # at the incoming element, which tops the top-to-bottom word
         while stack and first_occurrence((x,) + stack, sigma, head=True) is not None:
             v, stack = stack[0], stack[1:]
             output.append(v)
-            events.append(("POP", v, stack))
+            if events is not None:
+                events.append(("POP", v, stack))
         stack = (x,) + stack
-        events.append(("PUSH", x, stack))
-    for i, v in enumerate(stack):
-        output.append(v)
-        events.append(("POP", v, stack[i + 1:]))
-    out = tuple(output)
-    return out, MachineTrace(tuple(events), out)
+        if events is not None:
+            events.append(("PUSH", x, stack))
+    output.extend(stack)
+    if events is not None:
+        events.extend(("POP", v, stack[i + 1:]) for i, v in enumerate(stack))
+    return tuple(output)
 
 
 def _replay(pi: Perm, out: Perm) -> MachineTrace:
@@ -242,7 +251,7 @@ def s_sigma(pi: Iterable[int], sigma: Iterable[int]) -> Perm:
         return _cut_pass(p, s)
     if s == (2, 1):
         return _s21_output(p)
-    return _generic_pass(p, s)[0]
+    return _generic_output(p, s)
 
 
 def stacksort(pi: Iterable[int]) -> Perm:

@@ -3,9 +3,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from patternsort import bijections, cli, machine, sequences
 from patternsort.cli import main
@@ -389,3 +391,122 @@ def test_help_goes_to_the_current_stream(capsys, monkeypatch):
         assert code == 0
         lines.append(len(out.splitlines()))
     assert lines[0] > lines[1]
+
+
+# -- plain argv skip argparse ----------------------------------------------
+
+
+def _reference_args(argv):
+    """What argparse makes of argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+def _pieces() -> dict[str, tuple[list, list]]:
+    """Per verb, argv pieces read off its parser: one strategy per plain
+    action (a flag and a value, a store-true flag, a choice), and the
+    pieces only argparse takes (help, an abbreviated flag, --flag=v)."""
+    (sub,) = [
+        a
+        for a in cli.build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    pieces = {}
+    for verb, parser in sub.choices.items():
+        plain, other = [], []
+        for a in parser._actions:
+            if isinstance(a, argparse._HelpAction):
+                other += [(flag,) for flag in a.option_strings]
+                continue
+            if not a.option_strings:
+                plain.append(st.sampled_from(a.choices).map(lambda v: (v,)))
+                continue
+            values = [*(a.choices or ()), *(_NUMBERS if a.type is int else _WORDS)]
+            for flag in a.option_strings:
+                if a.nargs == 0:
+                    plain.append(st.just((flag,)))
+                else:
+                    plain.append(st.tuples(st.just(flag), st.sampled_from(values)))
+                other += [(flag[:-1],), (f"{flag}=x",)]
+        pieces[verb] = (plain, other)
+    return pieces
+
+
+_WORDS = ["", "-1", "x", "2413", "1 2 3"]
+_NUMBERS = ["-1", "x", "0", "3", "5"]  # small, so every verb runs fast
+_JUNK = [("--",), ("-h",), ("frobnicate",), *((v,) for v in _WORDS)]
+_PIECES = _pieces()
+
+
+def _argvs(verb: str):
+    """verb, then each plain piece at most once, mixed with up to two
+    others: a repeat, or a piece only argparse takes."""
+    plain, other = _PIECES.get(verb, ([], []))
+    junk = st.sampled_from(other + _JUNK)
+    once = st.tuples(*(st.one_of(st.none(), p) for p in plain))
+    extra = st.lists(st.one_of(*plain, junk), max_size=2)
+    return st.tuples(once, extra).flatmap(
+        lambda t: st.permutations([p for p in t[0] if p is not None] + t[1])
+    ).map(lambda ps: [verb, *(s for p in ps for s in p)])
+
+
+_ARGVS = st.sampled_from([*_PIECES, "frobnicate", "-h", "--", ""]).flatmap(_argvs)
+
+
+@pytest.fixture(scope="module")
+def report_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("reports")
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=_ARGVS)
+def test_plain_args_agree_with_argparse(argv, report_dir):
+    want = _reference_args(argv)
+    got = cli._plain_args(argv)
+    assert got is None or got == want
+    dashed = [s for s in argv if s.startswith("-")]
+    if len(dashed) != len(set(dashed)):
+        assert got is None  # a repeated flag is left to argparse
+    if want is not None and want.verb == "verify":
+        return  # the parse is what is checked here; verify has its own tests
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(report_dir)  # --out writes here
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+
+
+def test_plain_argv_of_every_verb_skip_argparse():
+    r, p, steps = "1 1 2 1", "2 1 3", "U H1 D"
+    for argv in (
+        ("simulate", "--perm", p, "--trace"),
+        ("simulate", "--sigma", "123", "--perm", p, "--json", "--out", ""),
+        ("sortable", "--perm", p),
+        ("enumerate", "rgf", "--n", "4", "--pattern", "1221", "--count-only", "--cap", "9"),
+        ("decompose", "--perm", p),
+        ("map", "phi-inverse", "--rgf", r),
+        ("map", "phi", "--perm", p),
+        ("map", "gamma", "--rgf", r),
+        ("map", "gamma-inverse", "--rgf", r),
+        ("map", "psi-inverse", "--path", "UDUD"),
+        ("map", "psi", "--rgf", r),
+        ("map", "beta", "--path", steps),
+        ("map", "beta-inverse", "--rgf", r),
+        ("map", "nr-to-av321", "--rgf", r),
+        ("map", "av321-to-nr", "--perm", p),
+        ("map", "--mode", "queue", "beta", "--path", steps, "--reduced", "--json"),
+        ("verify", "--scope", "sequences", "--nmax", "4"),
+        ("table", "a007317", "--n", "3", "--format", "bfile"),
+        ("export", "trace", "--perm", p, "--format", "json"),
+    ):
+        got = cli._plain_args(list(argv))
+        assert got is not None and got == _reference_args(list(argv)), argv
