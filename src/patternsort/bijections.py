@@ -188,7 +188,7 @@ def rgf_to_labeled_motzkin(
     _check_mode(mode)
     r = validate(word)
     if reduced:
-        r = validate((1,) + tuple(v + 1 for v in r))
+        r = (1,) + tuple(v + 1 for v in r)  # an RGF, since r is one
     if not r:
         raise InvalidInputError("need a word of length >= 1")
     if mode == "stack":

@@ -32,7 +32,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 
 from . import bijections, checks, grid, machine, paths, rgf, sequences
 from .errors import InvalidInputError, MalformedInputError, ResourceLimitError
-from .perms import _contains_231, format_perm, ltr_minima, parse_perm, parse_word
+from .perms import _contains_231, as_perm, format_perm, ltr_minima, parse_perm, parse_word
 from .rgf import format_rgf
 
 ENV_CAP = "PATTERNSORT_CAP"
@@ -60,9 +60,18 @@ def _require(args: argparse.Namespace, flag: str, verb: str) -> str:
 
 # -- verb bodies ------------------------------------------------------------
 
+def _words(args) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """--perm and --sigma as words; the library validates them, --perm first."""
+    p = parse_word(args.perm)
+    try:
+        return p, parse_word(args.sigma)
+    except InvalidInputError:
+        as_perm(p)  # a --perm that is no permutation is reported first
+        raise
+
+
 def _do_simulate(args) -> tuple[str, int]:
-    p = parse_perm(args.perm)
-    sigma = parse_perm(args.sigma)
+    p, sigma = _words(args)
     out, trace = machine.sigma_stack_pass(p, sigma)
     sortable = not _contains_231(out)
     if args.json:
@@ -83,8 +92,7 @@ def _do_simulate(args) -> tuple[str, int]:
 
 
 def _do_sortable(args) -> tuple[str, int]:
-    p = parse_perm(args.perm)
-    sigma = parse_perm(args.sigma)
+    p, sigma = _words(args)
     result = machine.is_sigma_sortable(p, sigma)
     if args.json:
         doc = {
@@ -139,7 +147,7 @@ def _do_enumerate(args) -> tuple[str, int]:
 
 
 def _do_decompose(args) -> tuple[str, int]:
-    p = parse_perm(args.perm)
+    p = parse_word(args.perm)  # decompose validates it
     d = grid.decompose(p)
     if args.json:
         doc = {
@@ -177,7 +185,7 @@ class _Kind(NamedTuple):
 
 
 _KINDS = {
-    "perm": _Kind("--perm", parse_perm, format_perm),
+    "perm": _Kind("--perm", parse_word, format_perm),  # the map validates it
     "rgf": _Kind("--rgf", parse_word, format_rgf),
     "dyck": _Kind("--path", _parse_dyck, str),
     "steps": _Kind("--path", paths.parse_steps, paths.format_steps),
@@ -389,8 +397,7 @@ def _do_table(args) -> tuple[str, int]:
 
 def _do_export(args) -> tuple[str, int]:
     if args.kind == "trace":
-        p = parse_perm(args.perm)
-        sigma = parse_perm(args.sigma)
+        p, sigma = _words(args)
         out, trace = machine.sigma_stack_pass(p, sigma)
         if args.format == "json":
             doc = {

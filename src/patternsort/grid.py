@@ -26,7 +26,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import InsertRejected, InvalidInputError, ResourceLimitError
 from .machine import DEFAULT_PERM_CAP, is_sigma_sortable
-from .perms import Perm, as_perm, avoids, ltr_minima
+from .perms import Perm, _contains_231, as_perm, complement, is_layered, ltr_minima, standardize
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ def decompose(pi: Iterable[int]) -> GridDecomposition:
     minima: list[tuple[int, int]] = []
     blocks: list[list[int]] = [[] for _ in range(max(w))]
     hstrips: list[list[int]] = [[] for _ in blocks]
-    cells: dict[tuple[int, int], Perm] = {}
+    cells: dict[tuple[int, int], list[int]] = {}
     for q, (x, i) in enumerate(zip(p, w), start=1):
         j = len(minima)  # the block so far, the running maximum of w
         if i > j:  # a first letter i is the i-th minimum
@@ -97,13 +97,13 @@ def decompose(pi: Iterable[int]) -> GridDecomposition:
             continue
         blocks[j - 1].append(x)
         hstrips[i - 1].append(x)
-        cells[(i, j)] = cells.get((i, j), ()) + (x,)
+        cells.setdefault((i, j), []).append(x)
     return GridDecomposition(
         p,
         tuple(minima),
         tuple(tuple(b) for b in blocks),
         tuple(tuple(h) for h in hstrips),
-        cells,
+        {c: tuple(v) for c, v in cells.items()},
         tuple(x for b in blocks for x in b),  # blocks run in position order
     )
 
@@ -123,34 +123,30 @@ class StructuralReport(NamedTuple):
 
 
 def _is_colayered_word(w: Perm) -> bool:
-    return avoids(w, (2, 1, 3), (1, 3, 2))
+    """w avoids 213 and 132: its complement avoids 231 and 312."""
+    return is_layered(complement(standardize(w)))
 
 
 def structural_check(pi: Iterable[int]) -> StructuralReport:
-    """Evaluate the necessary conditions for 132-sortability independently."""
-    p = as_perm(pi)
+    """Evaluate the necessary conditions for 132-sortability independently.
+
+    Each condition is one scan.  Comparing each nonempty block with the
+    next, and each cell's column with the previous one read row by row,
+    chains to every later block and row.  The colayered and 213 tests run
+    on complements, as the layered test and the 231 scan.
+    """
+    p = tuple(pi)
     if not p:
         return StructuralReport((("nonempty", True),))
-    d = decompose(p)
-    k = d.k
+    d = decompose(p)  # validates p
 
-    block_order = all(
-        x > y
-        for i in range(k)
-        for j in range(i + 1, k)
-        for x in d.blocks[i]
-        for y in d.blocks[j]
-    )
-
-    no_switch = True
-    for (i, j) in d.cells:
-        if any((u, v) in d.cells for u in range(1, i) for v in range(j + 1, k + 1)):
-            no_switch = False
-            break
-
+    blocks = [b for b in d.blocks if b]
+    block_order = all(min(b) > max(c) for b, c in zip(blocks, blocks[1:]))
+    cols = [j for _, j in sorted(d.cells)]
+    no_switch = all(a <= b for a, b in zip(cols, cols[1:]))
     cells_colayered = all(_is_colayered_word(c) for c in d.cells.values())
     strips_colayered = all(_is_colayered_word(h) for h in d.hstrips)
-    core_ok = avoids(d.core, (2, 1, 3))
+    core_ok = not _contains_231(complement(standardize(d.core)))
 
     return StructuralReport(
         (

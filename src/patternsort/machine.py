@@ -58,29 +58,18 @@ from .perms import (
 DEFAULT_PERM_CAP = 10
 
 
-# Controls that passed _check_sigma, each stored as the very tuple that
-# passed.  Only that object skips validation: an equal tuple of other
-# letters, such as (1.0, 3.0, 2.0) or (True, 2), is validated afresh.
-_CHECKED_CONTROLS: dict[Perm, Perm] = {}
-_CHECKED_CAP = 256
-
-
 def _check_sigma(sigma: Iterable[int]) -> Perm:
     s = tuple(sigma)
-    try:
-        if _CHECKED_CONTROLS.get(s) is s:
-            return s
-    except TypeError:  # an unhashable letter; as_perm rejects it below
-        pass
+    # a 3-tuple of plain ints that keys a cut rule is a permutation; bools,
+    # floats and int subclasses fail the type test and are validated in full
+    if len(s) == 3 and type(s[0]) is type(s[1]) is type(s[2]) is int and s in _CUT_RULES:
+        return s
     s = as_perm(s)
     if len(s) < 2:
         raise InvalidInputError(
             "control pattern must have length >= 2 (a shorter one would "
             "freeze or trivialize the stack)"
         )
-    if len(_CHECKED_CONTROLS) >= _CHECKED_CAP:
-        _CHECKED_CONTROLS.clear()
-    _CHECKED_CONTROLS[s] = s
     return s
 
 
@@ -245,8 +234,11 @@ def s_sigma(pi: Iterable[int], sigma: Iterable[int]) -> Perm:
     Length-3 controls run the cut scan, 21 runs Stacksort, and longer
     controls run the generic machine.
     """
-    p = as_perm(pi)
-    s = _check_sigma(sigma)
+    return _pass(as_perm(pi), _check_sigma(sigma))
+
+
+def _pass(p: Perm, s: Perm) -> Perm:
+    """``s_sigma`` of a permutation and a control already validated."""
     if len(s) == 3:
         return _cut_pass(p, s)
     if s == (2, 1):
@@ -271,7 +263,7 @@ def enumerate_sortable(
     if n > cap:
         raise ResourceLimitError(f"refusing enumeration of S_{n} (cap {cap})")
     s = _check_sigma(sigma)
-    return [p for p in permutations(range(1, n + 1)) if is_sigma_sortable(p, s)]
+    return [p for p in permutations(range(1, n + 1)) if not _contains_231(_pass(p, s))]
 
 
 def stack_shape_check(pi: Iterable[int]) -> bool:
@@ -325,12 +317,12 @@ def witness_non_class(
     s = _check_sigma(sigma)
     for m in range(2, max_n + 1):
         for host in permutations(range(1, m + 1)):
-            if not is_sigma_sortable(host, s):
+            if _contains_231(_pass(host, s)):
                 continue
             for plen in range(2, m):
                 for posns in combinations(range(m), plen):
                     pat = standardize(tuple(host[i] for i in posns))
-                    if not is_sigma_sortable(pat, s):
+                    if _contains_231(_pass(pat, s)):
                         return host, pat
     return None
 
@@ -385,7 +377,8 @@ def verify_characterizations(
             f"sortable {host} contains unsortable {pat}",
             (host, pat),
         )
-    bad = tuple(p for p in all_perms(n) if is_sigma_sortable(p, s) != predicted(p))
+    # the machine disagrees where "its output contains 231" equals "predicted sortable"
+    bad = tuple(p for p in all_perms(n) if _contains_231(_pass(p, s)) == predicted(p))
     return CharacterizationReport(
         s, kind, not bad, f"sortable set vs {what}, n={n}", bad
     )

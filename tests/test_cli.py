@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from patternsort import bijections, cli, machine, sequences
 from patternsort.cli import main
+from patternsort.grid import GrowthState
+from patternsort.paths import LABELED_STEPS, dyck_children
 from patternsort.perms import contains_classical, format_perm
 
 
@@ -284,6 +286,22 @@ def test_usage_errors(capsys):
     assert code == 0
 
 
+def test_perm_error_reported_before_sigma_error(capsys):
+    # the library validates --perm first; a --sigma that is no word at all
+    # still waits for it
+    for verb in (("simulate",), ("sortable",), ("export", "trace")):
+        for perm, sigma, want in (
+            ("11", "x", "not a permutation of 1..n: (1, 1)"),
+            ("11", "22", "not a permutation of 1..n: (1, 1)"),
+            ("x", "11", "cannot parse word 'x'"),
+            ("21", "x", "cannot parse word 'x'"),
+            ("21", "11", "not a permutation of 1..n: (1, 1)"),
+            ("21", "1", "control pattern must have length >= 2"),
+        ):
+            code, out, err = run(capsys, *verb, "--perm", perm, "--sigma", sigma)
+            assert (code, out) == (2, "") and err.startswith(f"error: {want}"), (verb, perm, sigma)
+
+
 def test_cap_precedence(capsys, monkeypatch):
     monkeypatch.setenv("PATTERNSORT_CAP", "4")
     code, _, err = run(capsys, "enumerate", "sortable", "--n", "5", "--count-only")
@@ -510,3 +528,91 @@ def test_plain_argv_of_every_verb_skip_argparse():
     ):
         got = cli._plain_args(list(argv))
         assert got is not None and got == _reference_args(list(argv)), argv
+
+
+# -- every map round trips through the CLI ----------------------------------
+# seeded objects of length n, grown by the walks of
+# test_bijections.test_every_map_round_trips_at_length_300
+
+
+def _sortable(rng, n):
+    s = GrowthState()
+    for _ in range(n):
+        _, s = rng.choice(s.children())
+    return s.perm
+
+
+def _dyck(rng, n):
+    path = ""
+    while len(path) < 2 * n:
+        path = rng.choice(dyck_children(path))
+    return path
+
+
+def _motzkin(rng, n):
+    steps, h = [], 0
+    for rest in range(n - 2, -1, -1):
+        # rest steps follow this one, so the height must stay within reach of 0
+        options = [
+            t
+            for t in LABELED_STEPS
+            if (h > 0 or t not in ("D", "H2")) and h + (t == "U") - (t == "D") <= rest
+        ]
+        steps.append(rng.choice(options))
+        h += (steps[-1] == "U") - (steps[-1] == "D")
+    return tuple(steps)
+
+
+def _nr_word(rng, n):
+    # non-maxima weakly increasing: each letter is a new maximum or >= low
+    w, mx, low = [1], 1, 1
+    while len(w) < n:
+        x = rng.randint(low, mx + 1)
+        if x > mx:
+            mx = x
+        else:
+            low = x
+        w.append(x)
+    return tuple(w)
+
+
+def _phi(rng, n):
+    return bijections.sortable_to_rgf(_sortable(rng, n))
+
+
+_ROUND_TRIPS = {  # map: its inverse, and its seeded input of length n
+    "phi": ("phi-inverse", _sortable),
+    "phi-inverse": ("phi", _phi),
+    "gamma": ("gamma-inverse", _phi),
+    "gamma-inverse": ("gamma", lambda rng, n: bijections.to_12321_avoider(_phi(rng, n))),
+    "psi": ("psi-inverse", lambda rng, n: bijections.dyck_path_to_rgf(_dyck(rng, n))),
+    "psi-inverse": ("psi", _dyck),
+    "beta": ("beta-inverse", _motzkin),
+    "beta-inverse": (
+        "beta", lambda rng, n: bijections.labeled_motzkin_to_rgf(_motzkin(rng, n))
+    ),
+    "nr-to-av321": ("av321-to-nr", _nr_word),
+    "av321-to-nr": ("nr-to-av321", lambda rng, n: bijections.rgf_to_av321(_nr_word(rng, n))),
+}
+
+
+def _map_text(name, flag, text):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["map", name, flag, text])
+    assert (code, err.getvalue()) == (0, ""), (name, text)
+    return out.getvalue().removesuffix("\n")
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_ROUND_TRIPS)),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 300),
+)
+def test_map_round_trips_through_the_cli(name, seed, n):
+    inverse, build = _ROUND_TRIPS[name]
+    m = cli._MAPS[name]
+    src, dst = cli._KINDS[m.src], cli._KINDS[m.dst]
+    text = src.show(build(random.Random(seed), n))
+    assert _map_text(inverse, dst.flag, _map_text(name, src.flag, text)) == text

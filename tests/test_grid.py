@@ -6,6 +6,7 @@ from patternsort.bijections import rgf_to_sortable, sortable_to_rgf
 from patternsort.errors import InsertRejected, InvalidInputError
 from patternsort.grid import (
     GrowthState,
+    StructuralReport,
     active_cells,
     children,
     decompose,
@@ -17,7 +18,7 @@ from patternsort.grid import (
     structural_check,
 )
 from patternsort.machine import enumerate_sortable, is_sigma_sortable
-from patternsort.perms import all_perms, ltr_minima, standardize
+from patternsort.perms import all_perms, avoids, ltr_minima, standardize
 
 WORKED = (13, 14, 15, 10, 12, 6, 7, 8, 11, 9, 3, 1, 4, 5, 2)
 
@@ -82,6 +83,56 @@ def test_structural_necessary_on_sortables():
     for n in range(1, 8):
         for p in enumerate_sortable(n, (1, 3, 2)):
             assert structural_check(p).passed, p
+
+
+def _reference_structural_check(p):
+    """The structural conditions as first written: every pair of blocks,
+    every pair of cells, and the pattern matcher on every word."""
+    if not p:
+        return StructuralReport((("nonempty", True),))
+    d = decompose(p)
+    k = d.k
+    block_order = all(
+        x > y
+        for i in range(k)
+        for j in range(i + 1, k)
+        for x in d.blocks[i]
+        for y in d.blocks[j]
+    )
+    no_switch = not any(
+        (u, v) in d.cells
+        for (i, j) in d.cells
+        for u in range(1, i)
+        for v in range(j + 1, k + 1)
+    )
+
+    def colayered(w):
+        return avoids(w, (2, 1, 3), (1, 3, 2))
+
+    return StructuralReport(
+        (
+            ("block-ordering", block_order),
+            ("no-switch", no_switch),
+            ("cells-colayered", all(colayered(c) for c in d.cells.values())),
+            ("strips-colayered", all(colayered(h) for h in d.hstrips)),
+            ("core-avoids-213", avoids(d.core, (2, 1, 3))),
+        )
+    )
+
+
+def test_structural_check_matches_reference():
+    for n in range(8):
+        for p in all_perms(n):
+            assert structural_check(p) == _reference_structural_check(p), p
+    rng = random.Random(60)
+    for _ in range(5):
+        # every prefix of a seeded walk, and a shuffle of each length
+        p = (1,)
+        while len(p) < 60:
+            _, p = rng.choice(children(p))
+            assert structural_check(p) == _reference_structural_check(p), p
+            q = tuple(rng.sample(range(1, len(p) + 1), len(p)))
+            assert structural_check(q) == _reference_structural_check(q), q
 
 
 def test_active_cells_small():

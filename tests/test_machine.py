@@ -42,15 +42,63 @@ def test_degenerate_sigma_rejected():
 
 @pytest.mark.parametrize(
     "sigma",
-    [(1.0, 3.0, 2.0), (True, 2), (1, 3, 3), (0, 1, 2), (1, [3], 2), ([1], [2])],
+    [
+        (1.0, 3.0, 2.0),
+        (True, 2),
+        (1, 3, 3),
+        (0, 1, 2),
+        (1, [3], 2),
+        ([1], [2]),
+        (True, 3, 2),
+        (1, 3.0, 2),
+    ],
 )
 def test_sigma_validated_after_an_equal_valid_control(sigma):
-    # validated controls are remembered; an equal or unhashable control of
-    # other letters must still be rejected as before
+    # a length-3 control of plain ints that keys a cut rule skips
+    # validation; an equal or unhashable control of other letters must
+    # still be rejected as before
     assert is_sigma_sortable((1, 2), (1, 3, 2))
     assert is_sigma_sortable((1, 2), (1, 2))
     with pytest.raises(InvalidInputError, match="not a permutation of 1..n"):
         is_sigma_sortable((1, 2), sigma)
+
+
+# len(enumerate_sortable(n, sigma)) at n = 4..7 for every control of
+# length 4; every control sorts 1, 2 and 5 permutations at n = 1..3
+_CATALAN_TAIL = (14, 42, 132, 429)
+_LENGTH_4_COUNTS = {
+    (1, 2, 3, 4): (14, 40, 113, 319),
+    (1, 2, 4, 3): (14, 41, 122, 366),
+    (1, 3, 2, 4): (14, 42, 134, 455),
+    (1, 3, 4, 2): _CATALAN_TAIL,
+    (1, 4, 2, 3): (14, 44, 154, 588),
+    (1, 4, 3, 2): (14, 43, 144, 521),
+    (2, 1, 3, 4): (14, 45, 170, 740),
+    (2, 1, 4, 3): (14, 44, 157, 634),
+    (2, 3, 1, 4): (15, 53, 215, 972),
+    (2, 3, 4, 1): _CATALAN_TAIL,
+    (2, 4, 1, 3): (15, 52, 201, 842),
+    (2, 4, 3, 1): _CATALAN_TAIL,
+    (3, 1, 2, 4): (14, 44, 155, 603),
+    (3, 1, 4, 2): _CATALAN_TAIL,
+    (3, 2, 1, 4): (13, 34, 89, 233),
+    (3, 2, 4, 1): _CATALAN_TAIL,
+    (3, 4, 1, 2): (15, 53, 214, 954),
+    (3, 4, 2, 1): (15, 53, 214, 954),
+    (4, 1, 2, 3): (14, 42, 135, 467),
+    (4, 1, 3, 2): (14, 43, 144, 522),
+    (4, 2, 1, 3): (13, 34, 89, 233),
+    (4, 2, 3, 1): _CATALAN_TAIL,
+    (4, 3, 1, 2): (13, 34, 89, 233),
+    (4, 3, 2, 1): (13, 34, 89, 233),
+}
+
+
+@pytest.mark.parametrize("sigma", sorted(_LENGTH_4_COUNTS))
+def test_length_4_control_counts(sigma):
+    # the generic machine's counts, pinned from an exhaustive run
+    got = tuple(len(enumerate_sortable(n, sigma)) for n in range(1, 8))
+    assert got == (1, 2, 5) + _LENGTH_4_COUNTS[sigma]
 
 
 def test_sortability():

@@ -244,10 +244,14 @@ def test_layered_routes_agree(lst):
 
 
 def test_colayered_is_layered_complement():
-    # the colayered test of the grid's structural check
+    # the colayered test of the grid's structural check, on permutations
+    # and on words of other distinct letters
     for n in range(1, 6):
         for p in all_perms(n):
-            assert _is_colayered_word(p) == is_layered(complement(p))
+            want = avoids(p, (2, 1, 3), (1, 3, 2))
+            assert is_layered(complement(p)) == want
+            assert _is_colayered_word(p) == want
+            assert _is_colayered_word(tuple(3 * v + 7 for v in p)) == want
 
 
 @given(
