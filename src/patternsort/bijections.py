@@ -197,8 +197,6 @@ def rgf_to_labeled_motzkin(
         forbidden, contains = "12332", _contains_12332
     if contains(r):
         raise InvalidInputError(f"{r} contains {forbidden} ({mode} mode)")
-    if r[0] != 1:
-        raise InvalidInputError("word must start with 1")
 
     last = {v: i for i, v in enumerate(r)}
     steps: list[str] = []
@@ -240,7 +238,7 @@ def rgf_to_av321(word: Iterable[int]) -> Perm:
     ltr-maxima; the remaining letters r_{i_1}, r_{i_2}, ... become the
     strictly increasing values s_1 = r_{i_1}, s_j = s_{j-1} +
     (r_{i_j} - r_{i_{j-1}}) + 1, and the leftover values fill the maxima
-    slots in increasing order.
+    slots in increasing order.  The sum telescopes to s_j = r_{i_j} + j - 1.
     """
     r = validate(word)
     n = len(r)
@@ -253,12 +251,8 @@ def rgf_to_av321(word: Iterable[int]) -> Perm:
                 f"remainder ({vb} after {va})"
             )
     out = [0] * n
-    s = 0
-    prev = None
-    for i, v in rest:
-        s = v if prev is None else s + (v - prev) + 1
-        out[i] = s
-        prev = v
+    for j, (i, v) in enumerate(rest):
+        out[i] = v + j
     unused = sorted(set(range(1, n + 1)) - {out[i] for i, _ in rest})
     for i, v in zip(sorted(maxpos), unused):
         out[i] = v
@@ -270,18 +264,14 @@ def av321_to_rgf(pi: Iterable[int]) -> Rgf:
     p = as_perm(pi)
     if _contains_321(p):
         raise InvalidInputError(f"{p} contains 321")
-    maxpos = _strict_maxima_positions(p)
-    maxset = set(maxpos)
     word = [0] * len(p)
-    for rank, i in enumerate(maxpos, start=1):
+    for rank, i in enumerate(_strict_maxima_positions(p), start=1):
         word[i] = rank
-    prev_s = None
-    prev_r = None
+    j = 0
     for i, v in enumerate(p):
-        if i in maxset:
-            continue
-        word[i] = v if prev_s is None else prev_r + (v - prev_s) - 1
-        prev_s, prev_r = v, word[i]
+        if not word[i]:  # ranks start at 1, so 0 marks a non-maximum
+            word[i] = v - j
+            j += 1
     out = tuple(word)
     try:
         return validate(out)
@@ -354,9 +344,6 @@ def leftmost_repeat_231(word: Iterable[int]) -> TripleIndex | None:
     return None
 
 
-_GAMMA_STEP_LIMIT_POWER = 3
-
-
 def _swap(r: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
     w = list(r)
     w[a - 1], w[b - 1] = w[b - 1], w[a - 1]
@@ -371,19 +358,16 @@ def to_12321_avoider(
     Defined on words avoiding 12231 (equivalently, with no repeat-led
     231).  Each swap exchanges the first two letters of the current
     rightmost triple, which strictly decreases that triple in the
-    lexicographic order, so the loop terminates in a 321-free word with
-    the same letter multiset.
+    lexicographic order.  The loop checks that, so it ends within C(n, 3)
+    swaps, in a 321-free word with the same letter multiset.
     """
     r = validate(word)
     if _contains_12231(r):  # on an RGF, the same as a repeat-led 231
         raise InvalidInputError(f"{r} contains a repeat-led 231")
     steps: list[TripleIndex] = []
-    limit = max(1, len(r)) ** _GAMMA_STEP_LIMIT_POWER
     while (t := rightmost_321(r)) is not None:
         if steps and not t < steps[-1]:
             raise MalformedInputError(f"triple {t} did not decrease below {steps[-1]}")
-        if len(steps) >= limit:
-            raise MalformedInputError(f"swap loop exceeded {limit} steps")
         steps.append(t)
         r = _swap(r, t.i1, t.i2)
     validate(r)
@@ -395,16 +379,16 @@ def to_12231_avoider(
 ) -> Rgf | tuple[Rgf, list[TripleIndex]]:
     """Swap repeat-led 231 occurrences back in, leftmost first.
 
-    Defined on 321-free words; inverse of to_12321_avoider.
+    Defined on 321-free words; inverse of to_12321_avoider, whose triples
+    decrease: here each must increase, so at most C(n, 3) swaps are made.
     """
     r = validate(word)
     if rightmost_321(r) is not None:
         raise InvalidInputError(f"{r} contains 321")
     steps: list[TripleIndex] = []
-    limit = max(1, len(r)) ** _GAMMA_STEP_LIMIT_POWER
     while (t := leftmost_repeat_231(r)) is not None:
-        if len(steps) >= limit:
-            raise MalformedInputError(f"swap loop exceeded {limit} steps")
+        if steps and not steps[-1] < t:
+            raise MalformedInputError(f"triple {t} did not increase above {steps[-1]}")
         steps.append(t)
         r = _swap(r, t.i1, t.i2)
     validate(r)

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from math import inf
 from typing import Iterable, NamedTuple
 
 from .errors import InsertRejected, InvalidInputError, ResourceLimitError
 from .machine import DEFAULT_PERM_CAP, is_sigma_sortable
-from .perms import Perm, _contains_231, as_perm, complement, is_layered, ltr_minima, standardize
+from .perms import Perm, _contains_231, as_perm, ltr_minima
 
 
 @dataclass(frozen=True)
@@ -123,8 +124,15 @@ class StructuralReport(NamedTuple):
 
 
 def _is_colayered_word(w: Perm) -> bool:
-    """w avoids 213 and 132: its complement avoids 231 and 312."""
-    return is_layered(complement(standardize(w)))
+    """w, of distinct letters, avoids 213 and 132: each maximal increasing
+    run lies below the first letter of the run before it."""
+    bound = head = inf  # bound: the first letter of the run before
+    for u, v in zip((inf, *w), w):
+        if v < u:  # v starts a run
+            bound, head = head, v
+        if v > bound:
+            return False
+    return True
 
 
 def structural_check(pi: Iterable[int]) -> StructuralReport:
@@ -132,8 +140,8 @@ def structural_check(pi: Iterable[int]) -> StructuralReport:
 
     Each condition is one scan.  Comparing each nonempty block with the
     next, and each cell's column with the previous one read row by row,
-    chains to every later block and row.  The colayered and 213 tests run
-    on complements, as the layered test and the 231 scan.
+    chains to every later block and row.  The 213 test runs the 231 scan
+    on the core's complement.
     """
     p = tuple(pi)
     if not p:
@@ -146,7 +154,8 @@ def structural_check(pi: Iterable[int]) -> StructuralReport:
     no_switch = all(a <= b for a, b in zip(cols, cols[1:]))
     cells_colayered = all(_is_colayered_word(c) for c in d.cells.values())
     strips_colayered = all(_is_colayered_word(h) for h in d.hstrips)
-    core_ok = not _contains_231(complement(standardize(d.core)))
+    top = max(d.core, default=0) + 1
+    core_ok = not _contains_231(tuple(top - v for v in d.core))
 
     return StructuralReport(
         (

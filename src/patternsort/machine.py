@@ -60,9 +60,12 @@ DEFAULT_PERM_CAP = 10
 
 def _check_sigma(sigma: Iterable[int]) -> Perm:
     s = tuple(sigma)
-    # a 3-tuple of plain ints that keys a cut rule is a permutation; bools,
-    # floats and int subclasses fail the type test and are validated in full
+    # a 3-tuple of plain ints that keys a cut rule, or a plain-int 21, is a
+    # permutation; bools, floats and int subclasses fail the type test and
+    # are validated in full
     if len(s) == 3 and type(s[0]) is type(s[1]) is type(s[2]) is int and s in _CUT_RULES:
+        return s
+    if s == (2, 1) and type(s[0]) is type(s[1]) is int:
         return s
     s = as_perm(s)
     if len(s) < 2:

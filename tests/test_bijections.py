@@ -227,14 +227,31 @@ def test_gamma_domain_gates():
         to_12231_avoider((1, 2, 3, 2, 1))  # contains 321
 
 
-def test_gamma_step_limit(monkeypatch):
-    # a limit of one swap stops both directions at their second swap
-    monkeypatch.setattr(bijections, "_GAMMA_STEP_LIMIT_POWER", 0)
-    with pytest.raises(MalformedInputError):
-        to_12321_avoider((1, 2, 3, 3, 2, 1))
-    with pytest.raises(MalformedInputError):
-        to_12231_avoider((1, 2, 2, 3, 3, 1))
-    assert to_12321_avoider((1, 2, 3, 2, 1)) == (1, 2, 2, 3, 1)
+def test_gamma_rejects_a_repeated_triple(monkeypatch):
+    # each direction checks that its triples move strictly, down for
+    # gamma and up for its inverse, which bounds both loops; a scan that
+    # finds the same triple twice (then none) must trip that check
+    def twice():
+        found = iter([bijections.TripleIndex(3, 4, 5)] * 2 + [None])
+        return lambda r: next(found)
+
+    with monkeypatch.context() as m:
+        m.setattr(bijections, "rightmost_321", twice())
+        with pytest.raises(MalformedInputError, match="did not decrease"):
+            to_12321_avoider((1, 2, 3, 2, 1))
+    monkeypatch.setattr(bijections, "leftmost_repeat_231", twice())
+    with pytest.raises(MalformedInputError, match="did not increase"):
+        to_12231_avoider((1, 2, 2, 3, 1))
+
+
+def test_gamma_inverse_undoes_gamma_in_reverse_order():
+    # on every 12321-avoider, the inverse swaps at gamma's (i1, i2) in
+    # reverse order, so its triples strictly increase
+    for n in range(9):
+        for w in enumerate_avoiders(n, (1, 2, 3, 2, 1)):
+            r, back = to_12231_avoider(w, with_steps=True)
+            _, steps = to_12321_avoider(r, with_steps=True)
+            assert [t[:2] for t in back] == [t[:2] for t in reversed(steps)], w
 
 
 

@@ -51,14 +51,17 @@ def test_degenerate_sigma_rejected():
         ([1], [2]),
         (True, 3, 2),
         (1, 3.0, 2),
+        (2, True),
+        (2.0, 1),
     ],
 )
 def test_sigma_validated_after_an_equal_valid_control(sigma):
-    # a length-3 control of plain ints that keys a cut rule skips
-    # validation; an equal or unhashable control of other letters must
-    # still be rejected as before
+    # a length-3 control of plain ints that keys a cut rule, and a plain-int
+    # 21, skip validation; an equal or unhashable control of other letters
+    # must still be rejected as before
     assert is_sigma_sortable((1, 2), (1, 3, 2))
     assert is_sigma_sortable((1, 2), (1, 2))
+    assert is_sigma_sortable((1, 2), (2, 1))
     with pytest.raises(InvalidInputError, match="not a permutation of 1..n"):
         is_sigma_sortable((1, 2), sigma)
 
