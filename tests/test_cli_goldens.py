@@ -2,10 +2,12 @@
 
 The digest is a sha256 over (argv, exit code, stdout, stderr) of each
 in-process ``cli.main`` call listed by ``_argvs``: every map on objects of
-length at most 5, ``simulate --trace``, ``sortable`` under several
-controls and ``decompose --json`` on every permutation of length at most
-5, ``enumerate`` of each kind at n = -1..5, every ``table`` kind and
-format, and ``export``.  ``verify`` is left out, because its JSON carries
+length at most 5, ``simulate`` with and without ``--trace`` and
+``--json``, ``sortable`` under several controls and with ``--json``, and
+``decompose --json`` on every permutation of length at most 5,
+``enumerate`` of each kind (with a control and a pattern too) at
+n = -1..5 and past a cap, every ``table`` kind and format (with a pattern
+too), and ``export``.  ``verify`` is left out, because its JSON carries
 timings.  A change that alters CLI output on purpose updates ``GOLDEN``
 and names the change in CHANGES.md.
 """
@@ -20,7 +22,7 @@ from patternsort.cli import main
 from patternsort.perms import format_perm
 from patternsort.rgf import format_rgf
 
-GOLDEN = (3722, "18a533cb9c7dea5068f2d2a883fe8fed3346aad8d11d4f100a61872c3ffc024d")
+GOLDEN = (4412, "cb098c87da45bca8ff6b9ef21ecd41487c072c2efacc10c0b9a330968cf740c9")
 
 JSON = ["--json"]
 PERMS = [format_perm(p) for n in range(1, 6) for p in permutations(range(1, n + 1))]
@@ -64,18 +66,35 @@ def _argvs():
     for name, flag, x in ALIASES:
         yield ["map", name, flag, x, "--json"]
     for p in PERMS:
-        yield ["simulate", "--perm", p, "--trace"]
+        for extra in ([], ["--trace"], JSON, ["--trace", "--json"]):
+            yield ["simulate", "--perm", p, *extra]
         yield ["decompose", "--perm", p, "--json"]
+        yield ["sortable", "--perm", p, "--json"]
         for sigma in ("123", "321", "1324", "21"):
             yield ["sortable", "--sigma", sigma, "--perm", p]
-    for kind in ("sortable", "rgf", "dyck", "motzkin", "labeled-motzkin"):
+    for kind in (
+        ["sortable"],
+        ["sortable", "--sigma", "123"],
+        ["rgf"],
+        ["rgf", "--pattern", "1221"],
+        ["dyck"],
+        ["motzkin"],
+        ["labeled-motzkin"],
+    ):
         for n in range(-1, 6):
             for extra in ([], JSON, ["--count-only"], ["--json", "--count-only"]):
-                yield ["enumerate", kind, "--n", str(n), *extra]
-    for kind in ("sortable-by-minima", "rgf-max", "narayana", "a007317"):
+                yield ["enumerate", *kind, "--n", str(n), *extra]
+    yield ["enumerate", "rgf", "--n", "5", "--cap", "4"]
+    for kind in (
+        ["sortable-by-minima"],
+        ["rgf-max"],
+        ["rgf-max", "--pattern", "12321"],
+        ["narayana"],
+        ["a007317"],
+    ):
         for n in range(0, 7):
             for fmt in ("csv", "json", "bfile"):
-                yield ["table", kind, "--n", str(n), "--format", fmt]
+                yield ["table", *kind, "--n", str(n), "--format", fmt]
     for p in ("1", "2 4 1 3", "3 1 2", "3 4 1 2 5"):
         for sigma in ("132", "123", "1324"):
             for fmt in ("text", "json"):

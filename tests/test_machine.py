@@ -1,9 +1,12 @@
+import re
+from functools import partial
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from patternsort.errors import InvalidInputError, ResourceLimitError
+from patternsort.grid import generate_sortable
 from patternsort.machine import (
     DEFAULT_PERM_CAP,
     _generic_pass,
@@ -188,7 +191,20 @@ def test_verify_characterizations_rejects_negative_length(sigma):
 
 
 def test_enumeration_cap():
-    with pytest.raises(ResourceLimitError):
-        enumerate_sortable(DEFAULT_PERM_CAP + 1, (1, 3, 2))
-    with pytest.raises(ResourceLimitError):
+    # a negative length is refused before the cap, with the cap in the message
+    cap = DEFAULT_PERM_CAP
+    n = cap + 1
+    for call, refusing in (
+        (partial(enumerate_sortable, sigma=(1, 3, 2)), f"enumeration of S_{n}"),
+        (partial(verify_characterizations, sigma=(1, 3, 2)), f"verification at n={n}"),
+        (generate_sortable, f"generation at n={n}"),
+    ):
+        with pytest.raises(InvalidInputError, match="^length must be nonnegative$"):
+            call(-1, cap=-5)
+        with pytest.raises(ResourceLimitError, match=re.escape(f"refusing {refusing} (cap {cap})")):
+            call(n)
+    with pytest.raises(ResourceLimitError, match=re.escape("refusing enumeration of S_7 (cap 6)")):
         enumerate_sortable(7, (1, 3, 2), cap=6)
+    # the control is validated before the length
+    with pytest.raises(InvalidInputError, match="not a permutation"):
+        verify_characterizations(n, (1, 1, 2))

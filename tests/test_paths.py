@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from patternsort.errors import InvalidInputError, MalformedInputError, ResourceLimitError
@@ -86,10 +88,26 @@ def test_enumerate_labeled():
 
 
 def test_caps():
-    with pytest.raises(ResourceLimitError):
-        list(enumerate_dyck(DEFAULT_PATH_CAP + 1))
-    with pytest.raises(ResourceLimitError):
-        list(enumerate_labeled_motzkin(DEFAULT_LABELED_CAP + 1))
+    # the lazy walks check their length only once they are iterated, and a
+    # negative length is refused before the cap
+    for walk, cap, what, refusing in (
+        (enumerate_dyck, DEFAULT_PATH_CAP, "semilength", "Dyck enumeration at semilength"),
+        (enumerate_motzkin, DEFAULT_PATH_CAP, "length", "Motzkin enumeration at length"),
+        (
+            enumerate_labeled_motzkin,
+            DEFAULT_LABELED_CAP,
+            "length",
+            "labeled Motzkin enumeration at length",
+        ),
+    ):
+        paths = walk(-1, cap=-5)
+        with pytest.raises(InvalidInputError, match=f"^{what} must be nonnegative$"):
+            next(paths)
+        paths = walk(cap + 1)
+        with pytest.raises(
+            ResourceLimitError, match=re.escape(f"refusing {refusing} {cap + 1} (cap {cap})")
+        ):
+            next(paths)
 
 
 def test_double_rises():

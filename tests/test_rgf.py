@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from patternsort.checks import _REGISTRY
@@ -125,14 +127,18 @@ def test_avoiders_lex_and_pruned():
 
 def test_enumeration_caps():
     # the lazy walk checks its length only once it is iterated
-    for n, error in ((-1, InvalidInputError), (DEFAULT_RGF_CAP + 1, ResourceLimitError)):
+    cap = DEFAULT_RGF_CAP
+    for n, error, message in (
+        (-1, InvalidInputError, "length must be nonnegative"),
+        (cap + 1, ResourceLimitError, f"refusing RGF enumeration at n={cap + 1} (cap {cap})"),
+    ):
         words = enumerate_rgfs(n)
-        with pytest.raises(error):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
             next(words)
     # the list form checks its pattern before its length
     with pytest.raises(InvalidInputError, match="empty pattern"):
         enumerate_avoiders(-1, ())
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match=re.escape("at n=5 (cap 4)")):
         enumerate_avoiders(5, (1, 2, 2, 1), cap=4)
 
 
