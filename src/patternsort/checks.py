@@ -21,12 +21,9 @@ from .perms import (
     all_perms,
     avoids,
     contains_classical,
-    complement,
     format_perm,
-    is_layered,
     _contains_231,
     _contains_321,
-    _is_layered_by_avoidance,
     ltr_minima,
     standardize,
 )
@@ -216,21 +213,6 @@ def _check_stack_shape(bound: int) -> str:
             if not machine.stack_shape_check(p):
                 raise _Fail(format_perm(p))
     return f"stack stays minima-floor plus one increasing block, n <= {bound}"
-
-
-def _check_perm_layered(bound: int) -> str:
-    for n in range(1, bound + 1):
-        count = 0
-        for p in all_perms(n):
-            a = is_layered(p)
-            if a != _is_layered_by_avoidance(p):
-                raise _Fail(format_perm(p))
-            count += a
-            if is_layered(complement(p)) != avoids(p, (2, 1, 3), (1, 3, 2)):
-                raise _Fail(format_perm(p))
-        if count != 2 ** (n - 1):
-            raise _Fail(f"n={n}: {count} layered")
-    return f"layered tests agree and count 2^(n-1), n <= {bound}"
 
 
 def _check_perm_fast_patterns(bound: int) -> str:
@@ -440,6 +422,7 @@ def _check_rgf_active_sites(bound: int) -> str:
 def _check_rgf_fast_patterns(bound: int) -> str:
     scans = (
         ((1, 2, 2, 1), rgf._contains_1221),
+        ((1, 2, 2, 3, 1), rgf._contains_12231),
         ((1, 2, 3, 3, 2), rgf._contains_12332),
         ((1, 2, 3, 2, 3), rgf._contains_12323),
     )
@@ -732,7 +715,6 @@ _REGISTRY: tuple[Check, ...] = (
     Check("machine-trace-invariants", "machine", 6, _check_trace_invariants),
     Check("machine-fast-vs-generic", "machine", 7, _check_fast_vs_generic),
     Check("machine-stack-shape", "machine", 8, _check_stack_shape),
-    Check("machine-perm-layered", "machine", 7, _check_perm_layered),
     Check("machine-perm-fast-patterns", "machine", 8, _check_perm_fast_patterns),
     Check("grid-reconstruction", "grid", 9, _check_grid_reconstruction),
     Check("grid-generator-equivalence", "grid", 8, _check_grid_generator),

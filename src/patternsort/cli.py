@@ -3,6 +3,10 @@
 Exit codes: 0 on success, 1 when a verification or cross-check fails,
 2 on usage errors (bad flags, malformed or oversized inputs).
 
+A verb body returns ``(text, status)`` or ``(document, status)``, where a
+document is a dict; only ``main`` serializes, and every JSON document
+it writes opens with the ``schema`` version.
+
 The argument parser is built once per process: ``build_parser()`` returns
 the same shared parser on every call.  Callers treat that parser as
 read-only, since a change to it would reach every later ``main`` call in
@@ -70,13 +74,12 @@ def _words(args) -> tuple[tuple[int, ...], tuple[int, ...]]:
         raise
 
 
-def _do_simulate(args) -> tuple[str, int]:
+def _do_simulate(args) -> tuple[str | dict, int]:
     p, sigma = _words(args)
     out, trace = machine.sigma_stack_pass(p, sigma)
     sortable = not _contains_231(out)
     if args.json:
         doc = {
-            "schema": SCHEMA,
             "perm": format_perm(p),
             "sigma": format_perm(sigma),
             "s_sigma": format_perm(out),
@@ -84,28 +87,22 @@ def _do_simulate(args) -> tuple[str, int]:
         }
         if args.trace:
             doc["trace"] = trace.as_dicts()
-        return json.dumps(doc, indent=2), 0
+        return doc, 0
     lines = [f"s_sigma: {format_perm(out)}", f"sortable: {str(sortable).lower()}"]
     if args.trace:
         lines.extend(trace.as_lines())
     return "\n".join(lines), 0
 
 
-def _do_sortable(args) -> tuple[str, int]:
+def _do_sortable(args) -> tuple[str | dict, int]:
     p, sigma = _words(args)
     result = machine.is_sigma_sortable(p, sigma)
     if args.json:
-        doc = {
-            "schema": SCHEMA,
-            "perm": format_perm(p),
-            "sigma": format_perm(sigma),
-            "sortable": result,
-        }
-        return json.dumps(doc, indent=2), 0
+        return {"perm": format_perm(p), "sigma": format_perm(sigma), "sortable": result}, 0
     return str(result).lower(), 0
 
 
-def _do_enumerate(args) -> tuple[str, int]:
+def _do_enumerate(args) -> tuple[str | dict, int]:
     kind = args.kind
     n = args.n
     if args.pattern is not None and kind != "rgf":
@@ -137,29 +134,27 @@ def _do_enumerate(args) -> tuple[str, int]:
             paths.format_steps(s) for s in paths.enumerate_labeled_motzkin(n, cap)
         ]
     if args.json:
-        doc = {"schema": SCHEMA, "kind": kind, "n": n, "count": len(items)}
+        doc = {"kind": kind, "n": n, "count": len(items)}
         if not args.count_only:
             doc["items"] = items
-        return json.dumps(doc, indent=2), 0
+        return doc, 0
     if args.count_only:
         return str(len(items)), 0
     return "\n".join(items), 0
 
 
-def _do_decompose(args) -> tuple[str, int]:
-    p = parse_word(args.perm)  # decompose validates it
+def _decompose(perm: str, as_json: bool) -> tuple[str | dict, int]:
+    p = parse_word(perm)  # decompose validates it
     d = grid.decompose(p)
-    if args.json:
-        doc = {
-            "schema": SCHEMA,
+    if as_json:
+        return {
             "perm": format_perm(p),
             "minima": [[pos, val] for pos, val in d.minima],
             "blocks": [list(b) for b in d.blocks],
             "hstrips": [list(h) for h in d.hstrips],
             "cells": {f"{i},{j}": list(c) for (i, j), c in sorted(d.cells.items())},
             "core": list(d.core),
-        }
-        return json.dumps(doc, indent=2), 0
+        }, 0
     lines = [
         f"perm: {format_perm(p)}",
         f"minima: {format_perm(d.minima_values)}",
@@ -274,7 +269,7 @@ _MAP_ALIASES = {
 MAP_NAMES = tuple(sorted({*_MAPS, *_MAP_ALIASES}))
 
 
-def _do_map(args) -> tuple[str, int]:
+def _do_map(args) -> tuple[str | dict, int]:
     m = _MAPS[_MAP_ALIASES.get(args.name, args.name)]
     src, dst = _KINDS[m.src], _KINDS[m.dst]
     x = src.parse(_require(args, src.flag, f"map {args.name}"))
@@ -291,24 +286,17 @@ def _do_map(args) -> tuple[str, int]:
         stats.update(m.stats(side))
     if swaps is not None:
         stats["swaps"] = len(swaps)
-    doc = {
-        "schema": SCHEMA,
-        "map": args.name,
-        "input": src.show(x),
-        "output": out_text,
-        "statistics": stats,
-    }
+    doc = {"map": args.name, "input": src.show(x), "output": out_text, "statistics": stats}
     if args.steps and swaps is not None:
         doc["steps"] = [list(t) for t in swaps]
-    return json.dumps(doc, indent=2), 0
+    return doc, 0
 
 
-def _do_verify(args) -> tuple[str, int]:
+def _do_verify(args) -> tuple[str | dict, int]:
     results = checks.run_checks(args.scope, args.nmax)
     failed = [r for r in results if not r.passed]
     if args.json:
-        doc = {
-            "schema": SCHEMA,
+        return {
             "scope": args.scope,
             "nmax": args.nmax,
             "passed": not failed,
@@ -323,8 +311,7 @@ def _do_verify(args) -> tuple[str, int]:
                 }
                 for r in results
             ],
-        }
-        return json.dumps(doc, indent=2), 1 if failed else 0
+        }, 1 if failed else 0
     lines = []
     for r in results:
         mark = "pass" if r.passed else "FAIL"
@@ -362,55 +349,50 @@ def _table_rows(args) -> tuple[str, list[tuple[int, int]], int]:
             want = sequences.max_distribution_formula(n - 1, k - 1)
             if got != want:
                 status = 1
-    elif kind == "rgf-max":
+    else:  # rgf-max
         cap = _effective_cap(args, rgf.DEFAULT_RGF_CAP)
         pattern = (1, 2, 3, 3, 2) if args.pattern is None else parse_word(args.pattern)
         dist = rgf.max_distribution(n, pattern, cap)
         header = "max,count"
         rows = [(k, dist.get(k, 0)) for k in range(1, n + 1)]
-    else:
-        raise InvalidInputError(f"unknown table kind {kind!r}")
     return header, rows, status
 
 
-def _do_table(args) -> tuple[str, int]:
+def _do_table(args) -> tuple[str | dict, int]:
     header, rows, status = _table_rows(args)
+    failed = "failed against the closed form"
+    if args.format == "json":
+        doc = {
+            "kind": args.kind,
+            "n": args.n,
+            "columns": header.split(","),
+            "rows": [[i, v] for i, v in rows],
+        }
+        if status:
+            doc["cross_check"] = failed
+        return doc, status
     if args.format == "bfile":
         body = "\n".join(f"{i} {v}" for i, v in rows)
-    elif args.format == "json":
-        body = json.dumps(
-            {
-                "schema": SCHEMA,
-                "kind": args.kind,
-                "n": args.n,
-                "columns": header.split(","),
-                "rows": [[i, v] for i, v in rows],
-            },
-            indent=2,
-        )
     else:
         body = "\n".join([header] + [f"{i},{v}" for i, v in rows])
     if status:
-        body += "\ncross-check failed against the closed form"
+        body += f"\ncross-check {failed}"
     return body, status
 
 
-def _do_export(args) -> tuple[str, int]:
-    if args.kind == "trace":
-        p, sigma = _words(args)
-        out, trace = machine.sigma_stack_pass(p, sigma)
-        if args.format == "json":
-            doc = {
-                "schema": SCHEMA,
-                "perm": format_perm(p),
-                "sigma": format_perm(sigma),
-                "events": trace.as_dicts(),
-                "output": format_perm(out),
-            }
-            return json.dumps(doc, indent=2), 0
-        return "\n".join(trace.as_lines()), 0
-    # decomposition
-    return _do_decompose(argparse.Namespace(perm=args.perm, json=args.format == "json"))
+def _do_export(args) -> tuple[str | dict, int]:
+    if args.kind == "decomposition":
+        return _decompose(args.perm, args.format == "json")
+    p, sigma = _words(args)
+    out, trace = machine.sigma_stack_pass(p, sigma)
+    if args.format == "json":
+        return {
+            "perm": format_perm(p),
+            "sigma": format_perm(sigma),
+            "events": trace.as_dicts(),
+            "output": format_perm(out),
+        }, 0
+    return "\n".join(trace.as_lines()), 0
 
 
 # -- parser -----------------------------------------------------------------
@@ -494,7 +476,7 @@ _DISPATCH = {
     "simulate": _do_simulate,
     "sortable": _do_sortable,
     "enumerate": _do_enumerate,
-    "decompose": _do_decompose,
+    "decompose": lambda args: _decompose(args.perm, args.json),
     "map": _do_map,
     "verify": _do_verify,
     "table": _do_table,
@@ -593,6 +575,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (InvalidInputError, MalformedInputError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if isinstance(body, dict):  # every JSON document opens with its schema
+        body = json.dumps({"schema": SCHEMA, **body}, indent=2)
     out_path = getattr(args, "out", None)
     if out_path:
         try:

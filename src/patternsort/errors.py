@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one size guard."""
 
 
 class InvalidInputError(ValueError):
@@ -13,12 +13,21 @@ class ResourceLimitError(RuntimeError):
     """Raised when an enumeration would exceed the configured size cap."""
 
 
+def check_size(n: int, cap: int, refusing: str, what: str = "length") -> None:
+    """The one size guard: a negative size is refused first, then one over the cap."""
+    if n < 0:
+        raise InvalidInputError(f"{what} must be nonnegative")
+    if n > cap:
+        raise ResourceLimitError(f"refusing {refusing} (cap {cap})")
+
+
 class InsertRejected(Exception):
     """An insertion into the generating tree was refused.
 
     ``reason`` is one of ``"inactive"``, ``"illegal-op"``, ``"empty-cell"``.
-    A rejection is an expected outcome, not a bug: the generating tree uses
-    it to tell legal growth steps from illegal ones.
+    ``GrowthState.insert`` and ``GrowthState._step`` raise it on an
+    inactive cell or an illegal request; ``GrowthState.children`` neither
+    raises nor catches it, since it grows only legal children.
     """
 
     def __init__(self, reason: str, message: str = ""):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from math import inf
 from typing import Iterable, NamedTuple
 
-from .errors import InsertRejected, InvalidInputError, ResourceLimitError
+from .errors import InsertRejected, InvalidInputError, check_size
 from .machine import DEFAULT_PERM_CAP, is_sigma_sortable
 from .perms import Perm, _contains_231, as_perm, ltr_minima
 
@@ -414,10 +414,7 @@ def generate_sortable(n: int, cap: int = DEFAULT_PERM_CAP) -> list[Perm]:
     alive at any time, so a whole level of states never has to be held
     (or scanned by the garbage collector).
     """
-    if n < 0:
-        raise InvalidInputError("length must be nonnegative")
-    if n > cap:
-        raise ResourceLimitError(f"refusing generation at n={n} (cap {cap})")
+    check_size(n, cap, f"generation at n={n}")
     todo = [GrowthState()]
     out: list[Perm] = []
     while todo:

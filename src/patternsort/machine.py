@@ -41,7 +41,7 @@ from __future__ import annotations
 from itertools import combinations, permutations
 from typing import Iterable, NamedTuple
 
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError, check_size
 from .perms import (
     MU,
     Perm,
@@ -261,10 +261,7 @@ def enumerate_sortable(
     n: int, sigma: Iterable[int] = (1, 3, 2), cap: int = DEFAULT_PERM_CAP
 ) -> list[Perm]:
     """All sortable permutations of length n, lexicographically sorted."""
-    if n < 0:
-        raise InvalidInputError("length must be nonnegative")
-    if n > cap:
-        raise ResourceLimitError(f"refusing enumeration of S_{n} (cap {cap})")
+    check_size(n, cap, f"enumeration of S_{n}")
     s = _check_sigma(sigma)
     return [p for p in permutations(range(1, n + 1)) if not _contains_231(_pass(p, s))]
 
@@ -352,10 +349,7 @@ def verify_characterizations(
     every permutation on which it and the machine disagree.
     """
     s = _check_sigma(sigma)
-    if n < 0:
-        raise InvalidInputError("length must be nonnegative")
-    if n > cap:
-        raise ResourceLimitError(f"refusing verification at n={n} (cap {cap})")
+    check_size(n, cap, f"verification at n={n}")
 
     if s == (1, 3, 2):
         kind, what = "mesh-basis", "avoiders of 2314 and the shaded 132"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .errors import InvalidInputError, MalformedInputError, ResourceLimitError
+from .errors import InvalidInputError, MalformedInputError, check_size
 
 DEFAULT_PATH_CAP = 12
 DEFAULT_LABELED_CAP = 10
@@ -112,12 +112,7 @@ def validate_labeled_motzkin(steps: Sequence[str]) -> tuple[str, ...]:
 
 def enumerate_dyck(semilength: int, cap: int = DEFAULT_PATH_CAP) -> Iterator[str]:
     """All Dyck paths of the given semilength, lexicographic in D < U."""
-    if semilength < 0:
-        raise InvalidInputError("semilength must be nonnegative")
-    if semilength > cap:
-        raise ResourceLimitError(
-            f"refusing Dyck enumeration at semilength {semilength} (cap {cap})"
-        )
+    check_size(semilength, cap, f"Dyck enumeration at semilength {semilength}", "semilength")
     for steps in _walk(2 * semilength, 2 * cap, "Dyck", (("D", True), ("U", False))):
         yield "".join(steps)
 
@@ -130,12 +125,7 @@ def _walk(
     U rises, D falls and every other step is horizontal; paths come out
     in the lexicographic order of the alphabet as given.
     """
-    if length < 0:
-        raise InvalidInputError("length must be nonnegative")
-    if length > cap:
-        raise ResourceLimitError(
-            f"refusing {what} enumeration at length {length} (cap {cap})"
-        )
+    check_size(length, cap, f"{what} enumeration at length {length}")
 
     steps: list[str] = []
 

@@ -317,34 +317,6 @@ def reverse(w: Perm) -> Perm:
     return tuple(reversed(w))
 
 
-def is_layered(w: Perm) -> bool:
-    """True if w is a sequence of decreasing runs on consecutive value intervals.
-
-    Layered means w = I1 (+) I2 (+) ... with each Ij decreasing, i.e. the
-    direct sum of decreasing permutations.  Equivalent to avoiding both
-    231 and 312.
-    """
-    base = 0
-    i = 0
-    n = len(w)
-    while i < n:
-        top = w[i]
-        if top <= base:
-            return False
-        # the layer must be top, top-1, ..., base+1 in that order
-        width = top - base
-        if w[i : i + width] != tuple(range(top, base, -1)):
-            return False
-        base = top
-        i += width
-    return True
-
-
-def _is_layered_by_avoidance(w: Perm) -> bool:
-    # cross-check route kept private; tests compare against is_layered
-    return avoids(w, (2, 3, 1), (3, 1, 2))
-
-
 def all_perms(n: int) -> Iterator[Perm]:
     """All permutations of 1..n in lex order."""
     if n < 0:

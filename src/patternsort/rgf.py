@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError, check_size
 from .perms import first_occurrence
 
 Rgf = tuple[int, ...]
@@ -155,10 +155,7 @@ def _walk(n: int, cap: int, pattern: Sequence[int] | None = None) -> Iterator[Rg
     completes an occurrence: the word avoided the pattern before, so a
     new occurrence must end at that letter.
     """
-    if n < 0:
-        raise InvalidInputError("length must be nonnegative")
-    if n > cap:
-        raise ResourceLimitError(f"refusing RGF enumeration at n={n} (cap {cap})")
+    check_size(n, cap, f"RGF enumeration at n={n}")
     word: list[int] = []
 
     def extend(top: int) -> Iterator[Rgf]:  # top: the running maximum

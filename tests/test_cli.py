@@ -198,6 +198,20 @@ def test_table_json(capsys):
     assert doc["rows"] == [[1, 1], [2, 6], [3, 6], [4, 1]]
 
 
+def test_table_cross_check_failure(capsys, monkeypatch):
+    # a wrong closed form fails the table with status 1; json stays one document
+    monkeypatch.setattr(sequences, "max_distribution_formula", lambda n, k: -1)
+    argv = ("table", "sortable-by-minima", "--n", "3", "--format")
+    code, out, _ = run(capsys, *argv, "csv")
+    assert code == 1
+    assert out == "k,count\n1,1\n2,3\n3,1\ncross-check failed against the closed form\n"
+    code, out, _ = run(capsys, *argv, "json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["cross_check"] == "failed against the closed form"
+    assert doc["rows"] == [[1, 1], [2, 3], [3, 1]]
+
+
 def test_verify_scope(capsys):
     code, out, _ = run(capsys, "verify", "--scope", "sequences", "--nmax", "5")
     assert code == 0

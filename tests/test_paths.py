@@ -100,14 +100,14 @@ def test_caps():
             "labeled Motzkin enumeration at length",
         ),
     ):
-        paths = walk(-1, cap=-5)
+        lazy = walk(-1, cap=-5)
         with pytest.raises(InvalidInputError, match=f"^{what} must be nonnegative$"):
-            next(paths)
-        paths = walk(cap + 1)
+            next(lazy)
+        lazy = walk(cap + 1)
         with pytest.raises(
             ResourceLimitError, match=re.escape(f"refusing {refusing} {cap + 1} (cap {cap})")
         ):
-            next(paths)
+            next(lazy)
 
 
 def test_double_rises():

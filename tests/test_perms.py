@@ -21,7 +21,6 @@ from patternsort.perms import (
     contains_mesh,
     first_occurrence,
     format_perm,
-    is_layered,
     is_perm,
     ltr_minima,
     parse_perm,
@@ -29,12 +28,10 @@ from patternsort.perms import (
     reverse,
     standardize,
     _contains_231,
-    _is_layered_by_avoidance,
     _kernel,
 )
 from patternsort.rgf import all_words_standardized, enumerate_rgfs, word_standardize
 
-perm_lists = st.permutations(list(range(1, 7)))
 # every pattern of length at most 4, ties included
 SHORT_PATTERNS = [p for k in range(1, 5) for p in all_words_standardized(k)]
 CHECKS = {c.name: c for c in _REGISTRY}
@@ -237,19 +234,12 @@ def test_symmetries():
     assert complement(complement(p)) == p
 
 
-@given(perm_lists)
-def test_layered_routes_agree(lst):
-    p = tuple(lst)
-    assert is_layered(p) == _is_layered_by_avoidance(p)
-
-
 def test_colayered_is_layered_complement():
     # the colayered test of the grid's structural check, on permutations
     # and on words of other distinct letters
     for n in range(1, 6):
         for p in all_perms(n):
             want = avoids(p, (2, 1, 3), (1, 3, 2))
-            assert is_layered(complement(p)) == want
             assert _is_colayered_word(p) == want
             assert _is_colayered_word(tuple(3 * v + 7 for v in p)) == want
 
