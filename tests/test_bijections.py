@@ -109,6 +109,27 @@ def test_psi_walks_the_dyck_generating_tree():
     assert cases == 6917  # the empty word included
 
 
+def test_psi_walks_the_dyck_generating_tree_at_length_300():
+    # seeded 1221-avoiders up to length 300, built as psi-inverse of
+    # seeded Dyck paths, replayed letter by letter through dyck_children
+    rng = random.Random(1221)
+    for n in (9, 17, 40, 123, 300):
+        path, h = "", 0
+        for rest in range(2 * n - 1, -1, -1):
+            # rest steps follow this one; a D needs h > 0, a U room to return
+            step = rng.choice([t for t in "UD" if 0 <= h + (t == "U") - (t == "D") <= rest])
+            path += step
+            h += (step == "U") - (step == "D")
+        r = dyck_path_to_rgf(path)
+        assert len(r) == n
+        replay, mx = "", 0
+        for j in r:
+            q = 0 if j > mx else final_descent_length(replay) + j - mx
+            replay, mx = dyck_children(replay)[q], max(mx, j)
+        assert rgf_to_dyck_path(r) == replay == path
+        assert dyck_path_to_rgf(replay) == r
+
+
 
 # -- container map ----------------------------------------------------------
 

@@ -4,7 +4,9 @@ The digest is a sha256 over (argv, exit code, stdout, stderr) of each
 in-process ``cli.main`` call listed by ``_argvs``: every map on objects of
 length at most 5, ``simulate`` with and without ``--trace`` and
 ``--json``, ``sortable`` under several controls and with ``--json``, and
-``decompose --json`` on every permutation of length at most 5,
+``decompose --json`` on every permutation of length at most 5, the
+path maps on every short U/D string that is not a Dyck path and every
+short token sequence that is not a labeled Motzkin path,
 ``enumerate`` of each kind (with a control and a pattern too) at
 n = -1..5 and past a cap, every ``table`` kind and format (with a pattern
 too), and ``export``.  ``verify`` is left out, because its JSON carries
@@ -15,20 +17,29 @@ and names the change in CHANGES.md.
 import contextlib
 import hashlib
 import io
-from itertools import permutations
+from itertools import permutations, product
 
 from patternsort import paths, rgf
 from patternsort.cli import main
 from patternsort.perms import format_perm
 from patternsort.rgf import format_rgf
 
-GOLDEN = (4412, "cb098c87da45bca8ff6b9ef21ecd41487c072c2efacc10c0b9a330968cf740c9")
+GOLDEN = (4666, "1f01ea6d92530b2f2633a8272f3bebcadeb46c324efdb6f384c6f85edd87f58b")
 
 JSON = ["--json"]
 PERMS = [format_perm(p) for n in range(1, 6) for p in permutations(range(1, n + 1))]
 WORDS = [format_rgf(r) for n in range(1, 6) for r in rgf.enumerate_rgfs(n)]
 DYCKS = [d for k in range(1, 6) for d in paths.enumerate_dyck(k)]
 STEPS = [paths.format_steps(s) for n in range(5) for s in paths.enumerate_labeled_motzkin(n)]
+NON_DYCKS = [
+    x for n in range(1, 7) for x in map("".join, product("UD", repeat=n)) if x not in DYCKS
+] + ["UXD"]
+NON_STEPS = [
+    x
+    for n in range(1, 4)
+    for x in map(paths.format_steps, product(("U", "D", "H0", "H1", "H2"), repeat=n))
+    if x not in STEPS
+] + ["H3", "U X D"]
 MODES = [[], JSON, ["--mode", "queue"], ["--reduced"], ["--mode", "queue", "--reduced", "--json"]]
 
 # (map name, input flag, inputs, extra flag sets)
@@ -63,6 +74,10 @@ def _argvs():
         for x in inputs:
             for extra in extras:
                 yield ["map", name, flag, x, *extra]
+    for x in NON_DYCKS:
+        yield ["map", "psi-inverse", "--path", x]
+    for x in NON_STEPS:
+        yield ["map", "beta", "--path", x]
     for name, flag, x in ALIASES:
         yield ["map", name, flag, x, "--json"]
     for p in PERMS:

@@ -53,15 +53,20 @@ def test_format_steps():
 def test_labeled_validation():
     validate_labeled_motzkin(("H0", "H1"))
     validate_labeled_motzkin(("U", "H2", "D"))
-    with pytest.raises(InvalidInputError) as e:
-        validate_labeled_motzkin(("H2",))
-    assert "position 1" in str(e.value)
-    with pytest.raises(InvalidInputError):
-        validate_labeled_motzkin(("D",))
-    with pytest.raises(InvalidInputError):
-        validate_labeled_motzkin(("U",))
-    with pytest.raises(InvalidInputError):
-        validate_labeled_motzkin(("U", "H3", "D"))
+    for steps, message in (
+        (("H2",), "H2 at height zero at position 1; H2 needs height >= 1"),
+        (("U", "D", "H2"), "H2 at height zero at position 3; H2 needs height >= 1"),
+        (("D",), "path dips below the axis at position 1"),
+        (("U", "D", "D", "U"), "path dips below the axis at position 3"),
+        (("U",), "path ends at height 1, not 0"),
+        (("U", "U", "H2", "D"), "path ends at height 1, not 0"),
+        (("U", "H3", "D"), "unknown labeled step 'H3' at position 2"),
+        (("H",), "unknown labeled step 'H' at position 1"),
+        (("U", ["x"]), "unknown labeled step ['x'] at position 2"),
+        (("H0", 1), "unknown labeled step 1 at position 2"),
+    ):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            validate_labeled_motzkin(steps)
 
 
 def test_enumerate_dyck():
