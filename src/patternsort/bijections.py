@@ -13,7 +13,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import InsertRejected, InvalidInputError, MalformedInputError
 from .grid import GrowthState, _sortable, strip_word
-from .paths import _insert_peak, validate_dyck, validate_labeled_motzkin
+from .paths import validate_dyck, validate_labeled_motzkin
 from .perms import Perm, _contains_321, as_perm
 from .rgf import (
     Rgf,
@@ -64,17 +64,21 @@ def rgf_to_sortable(word: Iterable[int]) -> Perm:
 # -- words avoiding 1221 <-> Dyck paths ------------------------------------
 
 def rgf_to_dyck_path(word: Iterable[int]) -> str:
-    """Replay the word's growth as peak insertions.
+    """Replay the word's growth as peak insertions, in closed form.
 
     Appending letter j to a prefix with maximum M and final descent run
     of length r makes child q of the Dyck generating tree
     (:func:`patternsort.paths.dyck_children`): q = 0 for a new maximum
-    and q = r + j - M otherwise, so the new run has length r + 1 - q.
+    and q = r + j - M otherwise.  The child inserts UD after q D's of
+    the run, so its run has length r + 1 - q, and every later insertion
+    lands inside that new run: nothing before the U ever changes.  The
+    path is therefore D^q_1 U D^q_2 U ... D^q_n U followed by the last
+    run.
     """
     r = validate(word)
     if _contains_1221(r):
         raise InvalidInputError(f"{r} contains 1221")
-    path = ""
+    parts: list[str] = []
     mx = run = 0
     for j in r:
         if j > mx:
@@ -85,40 +89,30 @@ def rgf_to_dyck_path(word: Iterable[int]) -> str:
                 raise MalformedInputError(
                     f"letter {j} has no insertion site (run {run}, max {mx})"
                 )
-        path = _insert_peak(path, run, q)
+        parts.append("D" * q + "U")
         run += 1 - q
-    return path
+    parts.append("D" * run)
+    return "".join(parts)
 
 
 def dyck_path_to_rgf(path: str) -> Rgf:
-    """Peel peaks back to the empty path, then replay the letters.
+    """Read the letters off the path in one pass.
 
-    Each peel removes the U just before the first D of the final run
-    plus that D; the pair (child run length s, parent run length r)
-    determines the letter: a new maximum for s == r + 1 and max + 1 - s
-    otherwise.
+    The number q of D's just before each U is the child the letter
+    chose (see rgf_to_dyck_path): with maximum M and run r before it,
+    the letter is M + 1 for q = 0 and M + q - r otherwise.
     """
     validate_dyck(path)
-    pairs: list[tuple[int, int]] = []
-    rest = path.rstrip("D")  # the path without its final run of D's
-    run = len(path) - len(rest)
-    while rest:
-        # a peel drops the U that ends rest and one D of the run; the D-run
-        # that then ends rest joins the run
-        parent = rest[:-1].rstrip("D")
-        s, run = run, run + len(rest) - 2 - len(parent)
-        pairs.append((s, run))
-        rest = parent
-
     word: list[int] = []
-    mx = 0
-    for s, run in reversed(pairs):
-        if s == run + 1:
-            j = mx + 1
+    mx = run = 0
+    for ds in path.split("U")[:-1]:
+        q = len(ds)
+        if q:
+            word.append(mx + q - run)
         else:
-            j = mx + 1 - s
-        word.append(j)
-        mx = max(mx, j)
+            mx += 1
+            word.append(mx)
+        run += 1 - q
     out = tuple(word)
     try:
         validate(out)

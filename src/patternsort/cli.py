@@ -300,17 +300,7 @@ def _do_verify(args) -> tuple[str | dict, int]:
             "scope": args.scope,
             "nmax": args.nmax,
             "passed": not failed,
-            "checks": [
-                {
-                    "name": r.name,
-                    "scope": r.scope,
-                    "passed": r.passed,
-                    "detail": r.detail,
-                    "seconds": round(r.seconds, 3),
-                    "counterexample": r.counterexample,
-                }
-                for r in results
-            ],
+            "checks": [{**r._asdict(), "seconds": round(r.seconds, 3)} for r in results],
         }, 1 if failed else 0
     lines = []
     for r in results:

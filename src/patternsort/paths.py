@@ -6,6 +6,11 @@ zero and which returns to zero; it is stored as a plain string like
 carry a label on every horizontal step: H0, H1 anywhere, H2 only at
 height one or more.  A labeled path is stored as a tuple of step tokens
 ("U", "D", "H0", "H1", "H2").
+
+Each family is one table of (step, needs height >= 1) pairs, listed in
+the order its paths are enumerated: U rises, D falls and every other
+step is level.  The enumerators walk the table and the validators check
+a path against it.
 """
 
 from __future__ import annotations
@@ -17,21 +22,39 @@ from .errors import InvalidInputError, MalformedInputError, check_size
 DEFAULT_PATH_CAP = 12
 DEFAULT_LABELED_CAP = 10
 
-LABELED_STEPS = ("U", "D", "H0", "H1", "H2")
+DYCK = (("D", True), ("U", False))
+MOTZKIN = (("D", True), ("H", False), ("U", False))
+LABELED = (("U", False), ("D", True), ("H0", False), ("H1", False), ("H2", True))
+
+LABELED_STEPS = tuple(t for t, _ in LABELED)
+
+
+def _fault(steps: Sequence[str], family: Sequence[tuple[str, bool]]) -> str | None:
+    """The first way the steps break the family's table, or None.
+
+    The fault is worded as validate_labeled_motzkin reports it.  Steps
+    are compared by ==, so an unhashable token is merely unknown.
+    """
+    h = 0
+    for i, step in enumerate(steps, start=1):
+        for t, lifted in family:
+            if step == t:
+                break
+        else:
+            return f"unknown labeled step {step!r} at position {i}"
+        if t == "U":
+            h += 1
+        elif t == "D":
+            h -= 1
+            if h < 0:
+                return f"path dips below the axis at position {i}"
+        elif lifted and h == 0:
+            return f"{t} at height zero at position {i}; {t} needs height >= 1"
+    return None if h == 0 else f"path ends at height {h}, not 0"
 
 
 def is_dyck(path: str) -> bool:
-    h = 0
-    for c in path:
-        if c == "U":
-            h += 1
-        elif c == "D":
-            h -= 1
-        else:
-            return False
-        if h < 0:
-            return False
-    return h == 0
+    return _fault(path, DYCK) is None
 
 
 def validate_dyck(path: str) -> str:
@@ -45,8 +68,9 @@ def parse_steps(text: str) -> tuple[str, ...]:
     s = text.strip()
     if any(c.isspace() for c in s):
         toks = tuple(s.split())
+        known = {u for u, _ in MOTZKIN + LABELED}
         for t in toks:
-            if t not in ("U", "D", "H") and t not in LABELED_STEPS:
+            if t not in known:
                 raise MalformedInputError(f"unknown step {t!r} in {text!r}")
         return toks
     toks = []
@@ -74,59 +98,17 @@ def format_steps(steps: Sequence[str]) -> str:
     return "".join(steps)
 
 
-def is_motzkin(steps: Sequence[str]) -> bool:
-    h = 0
-    for t in steps:
-        if t == "U":
-            h += 1
-        elif t == "D":
-            h -= 1
-        elif t != "H":
-            return False
-        if h < 0:
-            return False
-    return h == 0
-
-
 def validate_labeled_motzkin(steps: Sequence[str]) -> tuple[str, ...]:
     """Check step tokens, nonnegative heights, zero end, and H2 only above ground."""
     t = tuple(steps)
-    h = 0
-    for i, step in enumerate(t, start=1):
-        if step not in LABELED_STEPS:
-            raise InvalidInputError(f"unknown labeled step {step!r} at position {i}")
-        if step == "U":
-            h += 1
-        elif step == "D":
-            h -= 1
-            if h < 0:
-                raise InvalidInputError(f"path dips below the axis at position {i}")
-        elif step == "H2" and h == 0:
-            raise InvalidInputError(
-                f"H2 at height zero at position {i}; H2 needs height >= 1"
-            )
-    if h != 0:
-        raise InvalidInputError(f"path ends at height {h}, not 0")
+    fault = _fault(t, LABELED)
+    if fault is not None:
+        raise InvalidInputError(fault)
     return t
 
 
-def enumerate_dyck(semilength: int, cap: int = DEFAULT_PATH_CAP) -> Iterator[str]:
-    """All Dyck paths of the given semilength, lexicographic in D < U."""
-    check_size(semilength, cap, f"Dyck enumeration at semilength {semilength}", "semilength")
-    for steps in _walk(2 * semilength, 2 * cap, "Dyck", (("D", True), ("U", False))):
-        yield "".join(steps)
-
-
-def _walk(
-    length: int, cap: int, what: str, alphabet: Sequence[tuple[str, bool]]
-) -> Iterator[tuple[str, ...]]:
-    """Paths of the given length over (step, needs height >= 1) pairs.
-
-    U rises, D falls and every other step is horizontal; paths come out
-    in the lexicographic order of the alphabet as given.
-    """
-    check_size(length, cap, f"{what} enumeration at length {length}")
-
+def _walk(length: int, family: Sequence[tuple[str, bool]]) -> Iterator[tuple[str, ...]]:
+    """Paths of the given length over the family's table, in its order."""
     steps: list[str] = []
 
     def extend(h: int) -> Iterator[tuple[str, ...]]:
@@ -137,7 +119,7 @@ def _walk(
             return
         if h > rest:  # can no longer return to zero
             return
-        for t, lifted in alphabet:
+        for t, lifted in family:
             if lifted and h == 0:
                 continue
             steps.append(t)
@@ -147,19 +129,23 @@ def _walk(
     yield from extend(0)
 
 
+def enumerate_dyck(semilength: int, cap: int = DEFAULT_PATH_CAP) -> Iterator[str]:
+    """All Dyck paths of the given semilength, lexicographic in D < U."""
+    check_size(semilength, cap, f"Dyck enumeration at semilength {semilength}", "semilength")
+    for steps in _walk(2 * semilength, DYCK):
+        yield "".join(steps)
+
+
 def enumerate_motzkin(length: int, cap: int = DEFAULT_PATH_CAP) -> Iterator[tuple[str, ...]]:
-    yield from _walk(length, cap, "Motzkin", (("D", True), ("H", False), ("U", False)))
+    check_size(length, cap, f"Motzkin enumeration at length {length}")
+    yield from _walk(length, MOTZKIN)
 
 
 def enumerate_labeled_motzkin(
     length: int, cap: int = DEFAULT_LABELED_CAP
 ) -> Iterator[tuple[str, ...]]:
-    yield from _walk(
-        length,
-        cap,
-        "labeled Motzkin",
-        (("U", False), ("D", True), ("H0", False), ("H1", False), ("H2", True)),
-    )
+    check_size(length, cap, f"labeled Motzkin enumeration at length {length}")
+    yield from _walk(length, LABELED)
 
 
 def double_rises(path: str) -> int:
@@ -170,12 +156,7 @@ def double_rises(path: str) -> int:
 
 def final_descent_length(path: str) -> int:
     """Length of the maximal run of D steps at the end of the path."""
-    r = 0
-    for c in reversed(path):
-        if c != "D":
-            break
-        r += 1
-    return r
+    return len(path) - len(path.rstrip("D"))
 
 
 def dyck_children(path: str) -> list[str]:
@@ -185,14 +166,8 @@ def dyck_children(path: str) -> list[str]:
     nonempty Dyck path arises this way from exactly one parent.
     """
     validate_dyck(path)
-    r = final_descent_length(path)
-    return [_insert_peak(path, r, q) for q in range(r + 1)]
-
-
-def _insert_peak(path: str, r: int, q: int) -> str:
-    """Child q of a path whose final descent has length r; its run is r + 1 - q."""
-    i = len(path) - r + q
-    return path[:i] + "UD" + path[i:]
+    i = len(path) - final_descent_length(path)
+    return [path[:j] + "UD" + path[j:] for j in range(i, len(path) + 1)]
 
 
 def dyck_parent(path: str) -> str:

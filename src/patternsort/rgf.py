@@ -57,12 +57,6 @@ def format_rgf(word: Sequence[int]) -> str:
     return "".join(str(v) for v in word)
 
 
-def word_standardize(word: Sequence[int]) -> tuple[int, ...]:
-    """Tie-aware standardization: the i-th smallest distinct value becomes i."""
-    rank = {v: i + 1 for i, v in enumerate(sorted(set(word)))}
-    return tuple(rank[v] for v in word)
-
-
 def rgf_contains(word: Sequence[int], pattern: Sequence[int]) -> bool:
     """True iff some subsequence of word standardizes to std(pattern)."""
     if not pattern:

@@ -1,4 +1,5 @@
 import re
+from itertools import accumulate, product
 
 import pytest
 
@@ -15,7 +16,6 @@ from patternsort.paths import (
     final_descent_length,
     format_steps,
     is_dyck,
-    is_motzkin,
     parse_steps,
     validate_labeled_motzkin,
 )
@@ -80,10 +80,17 @@ def test_enumerate_dyck():
 
 
 def test_enumerate_motzkin():
+    # brute force: every D/H/U word whose heights stay >= 0 and end at 0,
+    # in the order D < H < U
+    rise = {"D": -1, "H": 0, "U": 1}
     for n in range(0, 8):
-        ms = list(enumerate_motzkin(n))
-        assert len(ms) == motzkin(n)
-        assert all(is_motzkin(m) for m in ms)
+        want = [
+            w for w in product("DHU", repeat=n)
+            if min(accumulate((rise[t] for t in w), initial=0)) == 0
+            and sum(rise[t] for t in w) == 0
+        ]
+        assert len(want) == motzkin(n)
+        assert list(enumerate_motzkin(n)) == want
 
 
 def test_enumerate_labeled():

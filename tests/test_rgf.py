@@ -23,7 +23,6 @@ from patternsort.rgf import (
     rgf_to_partition,
     strip_ltr_maxima,
     validate,
-    word_standardize,
 )
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
@@ -82,11 +81,6 @@ def test_parse_format():
     big = validate(tuple(range(1, 11)))
     assert " " in format_rgf(big)
     assert parse_word(format_rgf(big)) == big
-
-
-def test_word_standardize():
-    assert word_standardize((4, 9, 4, 7)) == (1, 3, 1, 2)
-    assert word_standardize((2, 2, 3, 1)) == (2, 2, 3, 1)
 
 
 def test_rgf_contains():
