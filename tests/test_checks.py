@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from patternsort import bijections, grid, machine
+from patternsort import bijections, grid, machine, paths, rgf, sequences
 from patternsort.checks import SCOPES, _REGISTRY, run_checks
 from patternsort.cli import main
 from patternsort.errors import MalformedInputError
@@ -48,28 +48,58 @@ def test_run_checks_validates_arguments():
         run_checks("all", 0)
 
 
-def test_failing_check_reports_counterexample(monkeypatch, capsys):
-    # a wrong minima distribution fails exactly one check, at length 2
-    monkeypatch.setattr(grid, "minima_distribution", lambda n: {})
-    failed = [r for r in run_checks("bijections", 4) if not r.passed]
-    assert [(r.name, r.counterexample) for r in failed] == [
-        ("bij-minima-distribution", "n=2, k=1: 0 vs 1")
-    ]
+# the true Bell numbers, read before any test patches them
+_bell = sequences.bell
 
-    assert main(["verify", "--scope", "bijections", "--nmax", "4"]) == 1
+
+@pytest.mark.parametrize(
+    "module, name, wrong, failing, counterexample",
+    [
+        # a plain check: a wrong minima distribution fails at length 2
+        (
+            grid,
+            "minima_distribution",
+            lambda n: {},
+            "bij-minima-distribution",
+            "n=2, k=1: 0 vs 1",
+        ),
+        # one wrong-but-valid answer per shape: _counts, _bijection, _every
+        (sequences, "bell", lambda n: _bell(n) + 1, "rgf-counts-bell", "n=1: 1 vs 2"),
+        (
+            bijections,
+            "dyck_path_to_rgf",
+            lambda path: (1,) * (len(path) // 2),
+            "bij-psi-roundtrip",
+            "12",
+        ),
+        (machine, "stacksort", tuple, "machine-stacksort-231", "2 1"),
+    ],
+    ids=["minima_distribution", "bell", "dyck_path_to_rgf", "stacksort"],
+)
+def test_failing_check_reports_counterexample(
+    monkeypatch, capsys, module, name, wrong, failing, counterexample
+):
+    # the wrong answer fails exactly one check, with its minimal counterexample
+    monkeypatch.setattr(module, name, wrong)
+    failed = [r for r in run_checks("all", 4) if not r.passed]
+    assert [(r.name, r.counterexample) for r in failed] == [(failing, counterexample)]
+
+    [scope] = {c.scope for c in _REGISTRY if c.name == failing}
+    total = sum(c.scope == scope for c in _REGISTRY)
+    assert main(["verify", "--scope", scope, "--nmax", "4"]) == 1
     lines = capsys.readouterr().out.splitlines()
     bad = [line for line in lines if line.startswith("FAIL ")]
     assert len(bad) == 1
-    assert bad[0].startswith("FAIL bij-minima-distribution (")
-    assert bad[0].endswith(": counterexample found [n=2, k=1: 0 vs 1]")
-    assert lines[-1].startswith("9/10 checks passed")
+    assert bad[0].startswith(f"FAIL {failing} (")
+    assert bad[0].endswith(f": counterexample found [{counterexample}]")
+    assert lines[-1].startswith(f"{total - 1}/{total} checks passed")
 
-    assert main(["verify", "--scope", "bijections", "--nmax", "4", "--json"]) == 1
+    assert main(["verify", "--scope", scope, "--nmax", "4", "--json"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["passed"] is False
     [check] = [c for c in doc["checks"] if not c["passed"]]
-    assert check["name"] == "bij-minima-distribution"
-    assert check["counterexample"] == "n=2, k=1: 0 vs 1"
+    assert check["name"] == failing
+    assert check["counterexample"] == counterexample
 
 
 def test_characterization_failure_reports_first_counterexample(monkeypatch):
@@ -108,6 +138,10 @@ def _raise(exc):
             IndexError("boom"),
             ["machine-suffix-law", "grid-inversion-in-cell", "grid-structural-necessary"],
         ),
+        (bijections, "rgf_to_dyck_path", ValueError("boom"), ["bij-psi-roundtrip"]),
+        (rgf, "alpha", TypeError("boom"), ["rgf-alpha-preserves-12321"]),
+        (paths, "enumerate_motzkin", RuntimeError("boom"), ["seq-motzkin-counts"]),
+        (machine, "stack_shape_check", ZeroDivisionError("boom"), ["machine-stack-shape"]),
     ],
 )
 def test_check_that_raises_fails_alone(monkeypatch, capsys, module, name, exc, failing):
