@@ -17,12 +17,14 @@ Most claims take one of three shapes, each one loop over the sizes from
   ``domain(n)`` onto ``codomain(n)``, ``g(f(x)) == x``, and
   ``s(x) == t(f(x))`` for each statistic pair ``(s, t)``.
 
-A row may run several shapes in turn with ``_all``.  The claims that fit
-no shape are plain functions of the bound.  Every row looks each library
-function up when it runs (``lambda r: bijections.f(r)``, never the bare
-``bijections.f``), so a patched library is the one that gets checked, and
-builds nothing when this module is imported, since every command imports
-it.
+A row may run several shapes in turn with ``_all``.  Five claims are not
+one loop over sizes and stay plain functions of the bound: two read the
+report of ``machine.verify_characterizations``, the tree's children grow
+each level from the one before, and the 132 admission and the continued
+fractions are fixed cases.  Every row looks each library function up when
+it runs (``lambda r: bijections.f(r)``, never the bare ``bijections.f``),
+so a patched library is the one that gets checked, and builds nothing
+when this module is imported, since every command imports it.
 
 The minimal counterexample is the first failure in size order, then in
 the order the family is enumerated; in a row of several parts, it comes
@@ -222,6 +224,10 @@ def _narayana_row(n: int) -> list[int]:
     return [sequences.narayana(n, k) for k in range(1, n + 1)]
 
 
+def _row(dist: dict[int, int], n: int) -> list[int]:
+    return [dist.get(k, 0) for k in range(1, n + 1)]
+
+
 def _histogram(stat: Callable[[Any], int], items: Iterable[Any], values: range) -> list[int]:
     hist = Counter(map(stat, items))
     return [hist[v] for v in values]
@@ -312,6 +318,13 @@ def _beta_statistics(case: tuple[str, tuple[str, ...]]) -> bool:
     )
 
 
+def _dyck_children_point_back(p: str) -> bool:
+    kids = paths.dyck_children(p)
+    return len(kids) == paths.final_descent_length(p) + 1 and all(
+        paths.dyck_parent(q) == p for q in kids
+    )
+
+
 def _ltr_maxima_count(p: Perm) -> int:
     return sum(1 for i, v in enumerate(p) if v > max(p[:i], default=0))
 
@@ -373,64 +386,6 @@ def _check_132_admitted(_bound: int) -> None:
         raise _Fail("132 should not be sortable")
 
 
-def _check_rgf_wilf_eleven(bound: int) -> None:
-    for n in range(1, bound + 1):
-        counts = {q: len(rgf.enumerate_avoiders(n, q)) for q in WILF_ELEVEN}
-        if len(set(counts.values())) != 1:
-            raise _Fail(f"n={n}: {sorted(counts.values())}")
-
-
-def _check_max_equidistribution_nine(bound: int) -> None:
-    for n in range(1, bound + 1):
-        dists = [
-            tuple(sorted(rgf.max_distribution(n, q).items()))
-            for q in MAX_EQUIDISTRIBUTED_NINE
-        ]
-        if len(set(dists)) != 1:
-            raise _Fail(f"n={n}")
-
-
-def _check_ell1_equidistribution(bound: int) -> None:
-    for n in range(0, bound + 1):
-        flat = Counter(
-            sum(1 for s in path if s == "H1")
-            for path in paths.enumerate_labeled_motzkin(n)
-        )
-        for pat in ((1, 2, 3, 2, 1), (1, 2, 3, 1, 2)):
-            reps = Counter(
-                len(rgf.repeated_ltr_maxima(r))
-                for r in rgf.enumerate_avoiders(n + 1, pat)
-            )
-            if flat != reps:
-                raise _Fail(f"n={n} pattern {pat}")
-
-
-def _check_minima_distribution(bound: int) -> None:
-    for n in range(1, bound + 1):
-        dist = grid.minima_distribution(n + 1)
-        for k in range(1, n + 2):
-            want = sequences.max_distribution_formula(n, k - 1)
-            if dist.get(k, 0) != want:
-                raise _Fail(f"n={n + 1}, k={k}: {dist.get(k, 0)} vs {want}")
-
-
-def _check_dyck_children(bound: int) -> None:
-    for n in range(0, bound):
-        seen: Counter[str] = Counter()
-        for p in paths.enumerate_dyck(n):
-            kids = paths.dyck_children(p)
-            if len(kids) != paths.final_descent_length(p) + 1:
-                raise _Fail(p or "(empty)")
-            for q in kids:
-                if paths.dyck_parent(q) != p:
-                    raise _Fail(f"{p} -> {q}")
-                seen[q] += 1
-        if set(seen) != set(paths.enumerate_dyck(n + 1)) or any(
-            c != 1 for c in seen.values()
-        ):
-            raise _Fail(f"semilength {n + 1} not covered exactly once")
-
-
 def _check_cf(kind: str, _bound: int) -> None:
     want = [getattr(sequences, kind)(i) for i in range(9)]
     coeffs = sequences.cf_series(10, kind, terms=9)
@@ -438,15 +393,6 @@ def _check_cf(kind: str, _bound: int) -> None:
         raise _Fail(f"{coeffs} vs {want}")
     if sequences.cf_series(11, kind, terms=9) != want:
         raise _Fail("depth 11 disagrees with depth 10")
-
-
-def _check_max_formula_bruteforce(bound: int) -> None:
-    for pat in ((1, 2, 3, 3, 2), (1, 2, 3, 2, 1)):
-        for n in range(0, bound + 1):
-            dist = rgf.max_distribution(n + 1, pat)
-            for k in range(0, n + 1):
-                if dist.get(k + 1, 0) != sequences.max_distribution_formula(n, k):
-                    raise _Fail(f"pattern {pat}, n={n + 1}, max={k + 1}")
 
 
 # The two fraction checks expand to a fixed depth of 10 whatever the size.
@@ -549,7 +495,8 @@ _REGISTRY: tuple[Check, ...] = (
                   lambda n: sequences.a007317(n), start=0, label="n-1")),
     Check("rgf-wilf-eleven", "rgf", 7,
           "all eleven five-letter patterns are equinumerous, n <= {bound}",
-          _check_rgf_wilf_eleven),
+          _counts(lambda n: [len(rgf.enumerate_avoiders(n, q)) for q in WILF_ELEVEN[1:]],
+                  lambda n: [len(rgf.enumerate_avoiders(n, WILF_ELEVEN[0]))] * 10)),
     Check("rgf-catalan-families", "rgf", 9,
           "1221- and 1212-avoiders are Catalan-many, n <= {bound}",
           _counts(lambda n: [len(rgf.enumerate_avoiders(n, q))
@@ -603,10 +550,16 @@ _REGISTRY: tuple[Check, ...] = (
                  _beta_statistics, lambda c: f"{c[0]}: {c[1]}", start=0)),
     Check("bij-max-equidistribution-nine", "bijections", 7,
           "maximum statistic agrees across the nine patterns, n <= {bound}",
-          _check_max_equidistribution_nine),
+          _counts(lambda n: [rgf.max_distribution(n, q) for q in MAX_EQUIDISTRIBUTED_NINE[1:]],
+                  lambda n: [rgf.max_distribution(n, MAX_EQUIDISTRIBUTED_NINE[0])] * 8)),
     Check("bij-ell1-equidistribution", "bijections", 7,
           "flat-step labels match repeated-maxima counts, length <= {bound}",
-          _check_ell1_equidistribution),
+          _counts(lambda n: [Counter(len(rgf.repeated_ltr_maxima(r))
+                                     for r in rgf.enumerate_avoiders(n + 1, q))
+                             for q in ((1, 2, 3, 2, 1), (1, 2, 3, 1, 2))],
+                  lambda n: [Counter(s.count("H1")
+                                     for s in paths.enumerate_labeled_motzkin(n))] * 2,
+                  start=0)),
     Check("bij-av321-map", "bijections", 8,
           "weak-remainder words biject onto 321-avoiders, n <= {bound}",
           _all(_every(_weak_remainder, lambda r: not rgf.rgf_contains(r, (1, 2, 3, 2, 1)),
@@ -626,7 +579,8 @@ _REGISTRY: tuple[Check, ...] = (
                      lambda w: bijections.to_12231_avoider(w), stats=((sorted, sorted),))),
     Check("bij-minima-distribution", "bijections", 7,
           "minima distribution matches the closed form, lengths <= {bound1}",
-          _check_minima_distribution),
+          _counts(lambda n: _row(grid.minima_distribution(n + 1), n + 1),
+                  lambda n: sequences.max_distribution_row(n + 1), label="n-1")),
     # -- sequences scope -----------------------------------------------------
     Check("seq-dyck-counts", "sequences", 10,
           "Dyck counts are Catalan numbers, semilength <= {bound}",
@@ -646,7 +600,11 @@ _REGISTRY: tuple[Check, ...] = (
                   _narayana_row, label="semilength")),
     Check("seq-dyck-children", "sequences", 7,
           "peak insertion grows each path exactly once, semilength <= {bound}",
-          _check_dyck_children),
+          _all(_every(lambda n: paths.enumerate_dyck(n - 1), _dyck_children_point_back,
+                      lambda p: p or "(empty)"),
+               _counts(lambda n: sorted(q for p in paths.enumerate_dyck(n - 1)
+                                        for q in paths.dyck_children(p)),
+                       lambda n: list(paths.enumerate_dyck(n)), label="semilength"))),
     Check("seq-cf-a007317", "sequences", 10,
           "fraction expansion reproduces the transform through order 8",
           partial(_check_cf, "a007317")),
@@ -655,7 +613,9 @@ _REGISTRY: tuple[Check, ...] = (
           partial(_check_cf, "catalan")),
     Check("seq-max-formula-bruteforce", "sequences", 6,
           "closed form matches brute-force tables, lengths <= {bound1}",
-          _check_max_formula_bruteforce),
+          _counts(lambda n: [_row(rgf.max_distribution(n + 1, q), n + 1)
+                             for q in ((1, 2, 3, 3, 2), (1, 2, 3, 2, 1))],
+                  lambda n: [sequences.max_distribution_row(n + 1)] * 2, start=0, label="n-1")),
 )
 
 

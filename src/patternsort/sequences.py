@@ -90,6 +90,11 @@ def max_distribution_formula(n: int, k: int) -> int:
     return sum(comb(n, j) * narayana(j, k) for j in range(k, n + 1))
 
 
+def max_distribution_row(n: int) -> list[int]:
+    """Closed-form counts at length n by maximum k = 1..n, or sortables by ltr-minima."""
+    return [max_distribution_formula(n - 1, k - 1) for k in range(1, n + 1)]
+
+
 def _series_reciprocal(d: list[int], terms: int) -> list[int]:
     # 1 / (d[0] + d[1] x + ...) with d[0] == 1, as integer coefficients
     if d[0] != 1:

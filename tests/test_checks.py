@@ -48,20 +48,25 @@ def test_run_checks_validates_arguments():
         run_checks("all", 0)
 
 
-# the true Bell numbers, read before any test patches them
-_bell = sequences.bell
+# the true answers, read before any test patches them
+_bell, _minima, _max = sequences.bell, grid.minima_distribution, rgf.max_distribution
+
+
+def _bump(dist):
+    return {**dist, 1: dist.get(1, 0) + 1}
 
 
 @pytest.mark.parametrize(
     "module, name, wrong, failing, counterexample",
     [
-        # a plain check: a wrong minima distribution fails at length 2
+        # a _counts row against the closed form: a wrong minima distribution
+        # fails at length 2
         (
             grid,
             "minima_distribution",
             lambda n: {},
             "bij-minima-distribution",
-            "n=2, k=1: 0 vs 1",
+            "n-1=1: [0, 0] vs [1, 1]",
         ),
         # one wrong-but-valid answer per shape: _counts, _bijection, _every
         (sequences, "bell", lambda n: _bell(n) + 1, "rgf-counts-bell", "n=1: 1 vs 2"),
@@ -73,8 +78,41 @@ _bell = sequences.bell
             "12",
         ),
         (machine, "stacksort", tuple, "machine-stacksort-231", "2 1"),
+        # each {bound1} row still checks length bound + 1 = 5
+        (
+            grid,
+            "minima_distribution",
+            lambda n, *a: _bump(_minima(n, *a)) if n == 5 else _minima(n, *a),
+            "bij-minima-distribution",
+            "n-1=4: [2, 15, 24, 10, 1] vs [1, 15, 24, 10, 1]",
+        ),
+        (
+            rgf,
+            "max_distribution",
+            lambda n, *a: _bump(_max(n, *a)) if n == 5 else _max(n, *a),
+            "seq-max-formula-bruteforce",
+            f"n-1=4: {[[2, 15, 24, 10, 1]] * 2} vs {[[1, 15, 24, 10, 1]] * 2}",
+        ),
+        # a fault in the pattern the other eight are counted against
+        (
+            rgf,
+            "max_distribution",
+            lambda n, q, *a: _bump(_max(n, q, *a))
+            if (n, q) == (3, (1, 2, 1, 2, 3))
+            else _max(n, q, *a),
+            "bij-max-equidistribution-nine",
+            f"n=3: {[{1: 1, 2: 3, 3: 1}] * 8} vs {[{1: 2, 2: 3, 3: 1}] * 8}",
+        ),
     ],
-    ids=["minima_distribution", "bell", "dyck_path_to_rgf", "stacksort"],
+    ids=[
+        "minima_distribution",
+        "bell",
+        "dyck_path_to_rgf",
+        "stacksort",
+        "minima_distribution-length5",
+        "max_distribution-length5",
+        "max_distribution-12123",
+    ],
 )
 def test_failing_check_reports_counterexample(
     monkeypatch, capsys, module, name, wrong, failing, counterexample

@@ -191,6 +191,30 @@ def test_table_a007317_by_recurrence(capsys, fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("kind, n, top", [("a007317", 6200, 6161), ("narayana", 7156, 7155)])
+@pytest.mark.parametrize("fmt", ["csv", "bfile", "json"])
+def test_table_refuses_terms_past_the_digit_limit(capsys, monkeypatch, kind, n, top, fmt):
+    # the largest term would pass CPython's 4,300-digit limit on printing an
+    # int; no cap lifts it, and the refusal comes before any term is computed
+    monkeypatch.setattr(sequences, "a007317_terms", None)
+    monkeypatch.setattr(sequences, "narayana", None)
+    argv = ("table", kind, "--n", str(n), "--format", fmt)
+    for cap in ((), ("--cap", "100000")):
+        code, out, err = run(capsys, *argv, *cap)
+        assert (code, out, err) == (2, "", f"error: refusing {kind} table at n={n} (cap {top})\n")
+    # a lower cap is obeyed, from the flag or the environment
+    code, out, err = run(capsys, "table", kind, "--n", "11", "--format", fmt, "--cap", "10")
+    assert (code, out, err) == (2, "", f"error: refusing {kind} table at n=11 (cap 10)\n")
+    monkeypatch.setenv("PATTERNSORT_CAP", "10")
+    assert run(capsys, "table", kind, "--n", "11", "--format", fmt)[0] == 2
+
+
+def test_table_a007317_prints_up_to_the_digit_limit(capsys):
+    code, out, err = run(capsys, "table", "a007317", "--n", "6161", "--format", "bfile")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()[-1].split()[1]) == 4300
+
+
 def test_table_json(capsys):
     code, out, _ = run(capsys, "table", "narayana", "--n", "4", "--format", "json")
     doc = json.loads(out)
