@@ -336,7 +336,7 @@ def _table_rows(args) -> tuple[str, list[tuple[int, int]], int]:
         rows = list(enumerate(sequences.a007317_terms(n), start=1))
     elif kind == "narayana":
         header = "k,value"
-        rows = [(k, sequences.narayana(n, k)) for k in range(1, n + 1)]
+        rows = list(enumerate(sequences.narayana_row(n), start=1))
     elif kind == "sortable-by-minima":
         cap = _effective_cap(args, machine.DEFAULT_PERM_CAP)
         dist = grid.minima_distribution(n, cap)

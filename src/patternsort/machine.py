@@ -81,19 +81,30 @@ class MachineTrace(NamedTuple):
 
     Each event is (op, value, snapshot) where op is "PUSH" or "POP" and
     the snapshot is the stack content read top-to-bottom just after the
-    event.
+    event.  Starting from the empty stack, a PUSH snapshot is its value
+    on top of the previous snapshot, and a POP snapshot is the previous
+    one without its top, which is the value popped; `_replay` and
+    `_generic_pass` both record traces of this kind.
     """
 
     events: tuple[tuple[str, int, tuple[int, ...]], ...]
     output: Perm
 
     def as_lines(self) -> list[str]:
-        out = []
-        for op, value, snap in self.events:
-            # on CPython 3.11 a list joins faster than map(str, snap) or a generator
-            shown = ",".join([str(v) for v in snap]) if snap else "(empty)"
-            out.append(f"{op} {value} | stack: {shown}")
-        return out
+        """One text line per event, each stack text built from the one below.
+
+        Relies on the snapshot invariant above: the snapshots themselves
+        are never read, so each event costs one string build.
+        """
+        texts = ["(empty)"]  # texts[d]: the stack of depth d, top first
+        lines = []
+        for op, value, _ in self.events:
+            if op == "PUSH":
+                texts.append(f"{value},{texts[-1]}" if len(texts) > 1 else str(value))
+            else:
+                del texts[-1]
+            lines.append(f"{op} {value} | stack: {texts[-1]}")
+        return lines
 
     def as_dicts(self) -> list[dict]:
         return [

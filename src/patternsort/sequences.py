@@ -23,6 +23,23 @@ def narayana(n: int, k: int) -> int:
     return comb(n, k) * comb(n, k - 1) // n
 
 
+def narayana_row(n: int) -> list[int]:
+    """narayana(n, 1), ..., narayana(n, n) by the ratio of neighbours
+
+        N(n, k + 1) = N(n, k) (n - k)(n - k + 1) / (k (k + 1)),
+
+    from N(n, 1) = 1.  Each division is exact.  An entry costs two small
+    multiplications and one division here, where the closed form takes
+    two binomials per entry.
+    """
+    if n < 1:
+        raise InvalidInputError(f"narayana_row needs n >= 1, got n={n}")
+    row = [1]
+    for k in range(1, n):
+        row.append(row[-1] * ((n - k) * (n - k + 1)) // (k * (k + 1)))
+    return row
+
+
 def motzkin(n: int) -> int:
     if n < 0:
         raise InvalidInputError("motzkin is defined for n >= 0")

@@ -45,8 +45,48 @@ def test_simulate_trace_123_matches_generic_machine(capsys):
     assert code == 0
     s, trace = machine._generic_pass(p, (1, 2, 3))
     sortable = str(not contains_classical(s, (2, 3, 1))).lower()
-    want = [f"s_sigma: {format_perm(s)}", f"sortable: {sortable}"] + trace.as_lines()
+    # each snapshot of the generic machine joined on its own, not as_lines
+    want = [f"s_sigma: {format_perm(s)}", f"sortable: {sortable}"] + [
+        f"{op} {value} | stack: {','.join(str(v) for v in snap) if snap else '(empty)'}"
+        for op, value, snap in trace.events
+    ]
     assert out.splitlines() == want
+
+
+def test_simulate_trace_with_two_digit_values(capsys):
+    # a sortable of length 13: two-digit values next to commas on both sides
+    code, out, err = run(capsys, "simulate", "--perm", "11 10 13 4 6 7 8 9 12 3 5 1 2", "--trace")
+    assert (code, err) == (0, "")
+    assert out == """\
+s_sigma: 13 12 9 8 7 6 5 2 1 3 4 10 11
+sortable: true
+PUSH 11 | stack: 11
+PUSH 10 | stack: 10,11
+PUSH 13 | stack: 13,10,11
+POP 13 | stack: 10,11
+PUSH 4 | stack: 4,10,11
+PUSH 6 | stack: 6,4,10,11
+PUSH 7 | stack: 7,6,4,10,11
+PUSH 8 | stack: 8,7,6,4,10,11
+PUSH 9 | stack: 9,8,7,6,4,10,11
+PUSH 12 | stack: 12,9,8,7,6,4,10,11
+POP 12 | stack: 9,8,7,6,4,10,11
+POP 9 | stack: 8,7,6,4,10,11
+POP 8 | stack: 7,6,4,10,11
+POP 7 | stack: 6,4,10,11
+POP 6 | stack: 4,10,11
+PUSH 3 | stack: 3,4,10,11
+PUSH 5 | stack: 5,3,4,10,11
+POP 5 | stack: 3,4,10,11
+PUSH 1 | stack: 1,3,4,10,11
+PUSH 2 | stack: 2,1,3,4,10,11
+POP 2 | stack: 1,3,4,10,11
+POP 1 | stack: 3,4,10,11
+POP 3 | stack: 4,10,11
+POP 4 | stack: 10,11
+POP 10 | stack: 11
+POP 11 | stack: (empty)
+"""
 
 
 def test_sortable(capsys):
@@ -198,6 +238,7 @@ def test_table_refuses_terms_past_the_digit_limit(capsys, monkeypatch, kind, n, 
     # int; no cap lifts it, and the refusal comes before any term is computed
     monkeypatch.setattr(sequences, "a007317_terms", None)
     monkeypatch.setattr(sequences, "narayana", None)
+    monkeypatch.setattr(sequences, "narayana_row", None)
     argv = ("table", kind, "--n", str(n), "--format", fmt)
     for cap in ((), ("--cap", "100000")):
         code, out, err = run(capsys, *argv, *cap)

@@ -1,3 +1,4 @@
+import random
 import re
 from functools import partial
 from itertools import permutations
@@ -136,6 +137,31 @@ def test_trace_lines():
     assert lines[-1] == "POP 2 | stack: (empty)"
     ops = [e["op"] for e in trace.as_dicts()]
     assert ops.count("PUSH") == 4 and ops.count("POP") == 4
+
+
+def _joined_lines(trace):
+    # the reference rendering: every snapshot joined on its own
+    return [
+        f"{op} {value} | stack: {','.join(str(v) for v in snap) if snap else '(empty)'}"
+        for op, value, snap in trace.events
+    ]
+
+
+_TRACE_CONTROLS = [*permutations((1, 2, 3)), (2, 1), (1, 3, 2, 4)]
+
+
+@pytest.mark.parametrize("sigma", _TRACE_CONTROLS, ids=lambda s: "".join(map(str, s)))
+def test_trace_lines_match_the_joined_snapshots(sigma):
+    # as_lines builds each stack text from the one below it; it must print
+    # what joining each snapshot prints, for replayed and generic traces
+    for n in range(8):
+        for p in permutations(range(1, n + 1)):
+            for _, trace in (sigma_stack_pass(p, sigma), _generic_pass(p, sigma)):
+                assert trace.as_lines() == _joined_lines(trace), p
+    for n in (100, 300, 1000):
+        p = tuple(random.Random(n).sample(range(1, n + 1), n))
+        for _, trace in (sigma_stack_pass(p, sigma), _generic_pass(p, sigma)):
+            assert trace.as_lines() == _joined_lines(trace), n
 
 
 @settings(max_examples=200)

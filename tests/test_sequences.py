@@ -12,6 +12,7 @@ from patternsort.sequences import (
     _series_reciprocal,
     motzkin,
     narayana,
+    narayana_row,
 )
 
 
@@ -28,6 +29,14 @@ def test_narayana():
         narayana(4, 0)
     with pytest.raises(InvalidInputError):
         narayana(4, 5)
+
+
+def test_narayana_row_matches_the_closed_form():
+    for n in range(1, 301):
+        assert narayana_row(n) == [narayana(n, k) for k in range(1, n + 1)], n
+    for n in (0, -1):
+        with pytest.raises(InvalidInputError, match="narayana_row needs n >= 1"):
+            narayana_row(n)
 
 
 def test_motzkin():
