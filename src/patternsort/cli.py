@@ -276,7 +276,10 @@ MAP_NAMES = tuple(sorted({*_MAPS, *_MAP_ALIASES}))
 def _do_map(args) -> tuple[str | dict, int]:
     m = _MAPS[_MAP_ALIASES.get(args.name, args.name)]
     src, dst = _KINDS[m.src], _KINDS[m.dst]
-    x = src.parse(_require(args, src.flag, f"map {args.name}"))
+    text = _require(args, src.flag, f"map {args.name}")
+    if text == "-":  # the object is read from stdin, past the argv size limit
+        text = sys.stdin.read().removesuffix("\n")
+    x = src.parse(text)
     y = m.call(x, args)
     swaps = None
     if m.swaps:
@@ -432,9 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("map", help="apply one of the bijections")
     p.add_argument("name", choices=list(MAP_NAMES))
-    p.add_argument("--perm")
-    p.add_argument("--rgf")
-    p.add_argument("--path")
+    p.add_argument("--perm", help="the input permutation; - reads it from stdin")
+    p.add_argument("--rgf", help="the input word; - reads it from stdin")
+    p.add_argument("--path", help="the input path; - reads it from stdin")
     p.add_argument("--mode", choices=["stack", "queue"], default="stack")
     p.add_argument("--reduced", action="store_true")
     p.add_argument("--relaxed", action="store_true")

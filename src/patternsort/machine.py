@@ -28,12 +28,16 @@ x and keeps the statistic.  The generic machine (`_generic_output`) serves
 longer controls and is the reference the cut scan is cross-checked
 against; Stacksort serves 21.
 
-A pass is fixed by its input and its output, so traces are not recorded
-by the fast passes: `_replay` rebuilds the events from the output.  The
-top of the stack pops exactly when it is the next output letter, since
-pushing over it would bury it.  `_generic_pass` has the generic machine
-record its own events and is the reference the replay is cross-checked
-against; an untraced pass records none.
+A pass is fixed by its input and its output, so a trace (`MachineTrace`)
+holds just those two and the fast passes record nothing.  The top of the
+stack pops exactly when it is the next output letter, since pushing over
+it would bury it: before each push the top pops while it is the next
+output letter, and the rest of the stack flushes at the end.  The text
+trace runs that replay once over the input and the output; `_replay`
+rebuilds the event log, with a snapshot of the stack after each event,
+only when it is asked for.  `_generic_pass` has the generic machine
+record its own events and is the reference both replays are
+cross-checked against.
 """
 
 from __future__ import annotations
@@ -57,6 +61,8 @@ from .perms import (
 
 DEFAULT_PERM_CAP = 10
 
+_Event = tuple[str, int, tuple[int, ...]]  # (op, value, snapshot) of one trace event
+
 
 def _check_sigma(sigma: Iterable[int]) -> Perm:
     s = tuple(sigma)
@@ -77,33 +83,47 @@ def _check_sigma(sigma: Iterable[int]) -> Perm:
 
 
 class MachineTrace(NamedTuple):
-    """Event log of one first-stack pass.
+    """One first-stack pass, held as its input and its output.
 
-    Each event is (op, value, snapshot) where op is "PUSH" or "POP" and
-    the snapshot is the stack content read top-to-bottom just after the
-    event.  Starting from the empty stack, a PUSH snapshot is its value
-    on top of the previous snapshot, and a POP snapshot is the previous
-    one without its top, which is the value popped; `_replay` and
-    `_generic_pass` both record traces of this kind.
+    The pass pops the top of the stack exactly when it is the next output
+    letter, so these two fix every event.  An event is (op, value,
+    snapshot) where op is "PUSH" or "POP" and the snapshot is the stack
+    content read top-to-bottom just after the event.
     """
 
-    events: tuple[tuple[str, int, tuple[int, ...]], ...]
+    perm: Perm
     output: Perm
 
-    def as_lines(self) -> list[str]:
-        """One text line per event, each stack text built from the one below.
+    @property
+    def events(self) -> tuple[_Event, ...]:
+        """The events of the pass, replayed from the output on each call."""
+        return _replay(self.perm, self.output)
 
-        Relies on the snapshot invariant above: the snapshots themselves
-        are never read, so each event costs one string build.
+    def as_lines(self) -> list[str]:
+        """One text line per event, replayed without building the events.
+
+        Each stack text is built from the one a level below it, so each
+        event costs one string build and the work is linear in the output.
         """
+        out = self.output
+        name = list(map(str, range(len(out) + 1)))  # name[v] == str(v)
         texts = ["(empty)"]  # texts[d]: the stack of depth d, top first
+        stack: list[int] = []  # bottom to top
         lines = []
-        for op, value, _ in self.events:
-            if op == "PUSH":
-                texts.append(f"{value},{texts[-1]}" if len(texts) > 1 else str(value))
-            else:
-                del texts[-1]
-            lines.append(f"{op} {value} | stack: {texts[-1]}")
+        k = 0  # output letters popped so far
+        for x in self.perm:
+            while stack and stack[-1] == out[k]:
+                del stack[-1], texts[-1]
+                lines.append(f"POP {name[out[k]]} | stack: {texts[-1]}")
+                k += 1
+            s = name[x]
+            texts.append(f"{s},{texts[-1]}" if stack else s)
+            stack.append(x)
+            lines.append(f"PUSH {s} | stack: {texts[-1]}")
+        lines.extend(
+            f"POP {name[v]} | stack: {text}"
+            for v, text in zip(reversed(stack), reversed(texts[:-1]))
+        )
         return lines
 
     def as_dicts(self) -> list[dict]:
@@ -113,10 +133,11 @@ class MachineTrace(NamedTuple):
         ]
 
 
-def _generic_pass(pi: Perm, sigma: Perm) -> tuple[Perm, MachineTrace]:
-    events: list[tuple[str, int, tuple[int, ...]]] = []
+def _generic_pass(pi: Perm, sigma: Perm) -> tuple[Perm, tuple[_Event, ...]]:
+    """The generic machine's output and the events it records."""
+    events: list[_Event] = []
     out = _generic_output(pi, sigma, events)
-    return out, MachineTrace(tuple(events), out)
+    return out, tuple(events)
 
 
 def _generic_output(pi: Perm, sigma: Perm, events: list | None = None) -> Perm:
@@ -140,14 +161,15 @@ def _generic_output(pi: Perm, sigma: Perm, events: list | None = None) -> Perm:
     return tuple(output)
 
 
-def _replay(pi: Perm, out: Perm) -> MachineTrace:
+def _replay(pi: Perm, out: Perm) -> tuple[_Event, ...]:
     """The events of the first-stack pass that turns pi into out.
 
     Before each push, the top pops while it is the next output letter;
-    the rest of the stack flushes at the end.
+    the rest of the stack flushes at the end.  Each snapshot is a new
+    tuple, so the work is quadratic in the stack depth.
     """
     stack: tuple[int, ...] = ()  # top to bottom
-    events: list[tuple[str, int, tuple[int, ...]]] = []
+    events: list[_Event] = []
     k = 0  # output letters popped so far
     for x in pi:
         while stack and stack[0] == out[k]:
@@ -157,7 +179,7 @@ def _replay(pi: Perm, out: Perm) -> MachineTrace:
         stack = (x,) + stack
         events.append(("PUSH", x, stack))
     events.extend(("POP", v, stack[i + 1:]) for i, v in enumerate(stack))
-    return MachineTrace(tuple(events), out)
+    return tuple(events)
 
 
 # The cut rule of each length-3 control (see the module docstring).
@@ -239,7 +261,7 @@ def sigma_stack_pass(pi: Iterable[int], sigma: Iterable[int]) -> tuple[Perm, Mac
     """One traced pass of the machine's first stack."""
     p = tuple(pi)
     out = s_sigma(p, sigma)  # validates p
-    return out, _replay(p, out)
+    return out, MachineTrace(p, out)
 
 
 def s_sigma(pi: Iterable[int], sigma: Iterable[int]) -> Perm:

@@ -60,11 +60,11 @@ def parse_word(text: str) -> tuple[int, ...]:
     if "," in s or any(c.isspace() for c in s):
         parts = s.replace(",", " ").split()
     else:
-        parts = list(s)
+        parts = s
     if not parts:
         raise InvalidInputError(f"no letter in {text!r}")
     try:
-        word = tuple(int(p) for p in parts)
+        word = tuple(map(int, parts))
     except ValueError as exc:
         raise InvalidInputError(f"cannot parse word {text!r}") from exc
     if min(word) < 1:
@@ -78,7 +78,7 @@ def parse_perm(text: str) -> Perm:
 
 
 def format_perm(p: Perm) -> str:
-    return " ".join(str(v) for v in p)
+    return " ".join(map(str, p))
 
 
 def standardize(vals: Iterable[int]) -> Perm:

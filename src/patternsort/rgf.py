@@ -53,8 +53,8 @@ def validate(seq: Iterable[int]) -> Rgf:
 
 def format_rgf(word: Sequence[int]) -> str:
     if word and max(word) > 9:
-        return " ".join(str(v) for v in word)
-    return "".join(str(v) for v in word)
+        return " ".join(map(str, word))
+    return "".join(map(str, word))
 
 
 def rgf_contains(word: Sequence[int], pattern: Sequence[int]) -> bool:

@@ -43,12 +43,12 @@ def test_simulate_trace_123_matches_generic_machine(capsys):
         capsys, "simulate", "--sigma", "123", "--perm", format_perm(p), "--trace"
     )
     assert code == 0
-    s, trace = machine._generic_pass(p, (1, 2, 3))
+    s, events = machine._generic_pass(p, (1, 2, 3))
     sortable = str(not contains_classical(s, (2, 3, 1))).lower()
-    # each snapshot of the generic machine joined on its own, not as_lines
+    # each snapshot the generic machine records, joined on its own
     want = [f"s_sigma: {format_perm(s)}", f"sortable: {sortable}"] + [
         f"{op} {value} | stack: {','.join(str(v) for v in snap) if snap else '(empty)'}"
-        for op, value, snap in trace.events
+        for op, value, snap in events
     ]
     assert out.splitlines() == want
 
@@ -185,6 +185,36 @@ def test_map_missing_input_is_usage_error(capsys):
     code, _, err = run(capsys, "map", "phi", "--rgf", "12")
     assert code == 2
     assert "requires --perm" in err
+
+
+def _long_dyck(rng, n):
+    # a seeded Dyck path of semilength n, one step at a time
+    steps, h = [], 0
+    for rest in range(2 * n - 1, -1, -1):
+        up = h < rest and (h == 0 or rng.random() < 0.5)
+        steps.append("U" if up else "D")
+        h += 1 if up else -1
+    return "".join(steps)
+
+
+def test_map_reads_its_object_from_stdin(capsys, monkeypatch):
+    # "-" reads the object from stdin, so one past the 128 KiB argv limit
+    # fits; the text then gets the same answer, or error, as in argv
+    path = _long_dyck(random.Random(100000), 100000)
+    code, w, err = run(capsys, "map", "psi-inverse", "--path", path)
+    assert (code, err) == (0, "")
+    for argv, text in (
+        (("psi-inverse", "--path"), path),
+        (("psi", "--rgf"), w.removesuffix("\n")),
+        (("psi-inverse", "--path"), ""),  # no Dyck path
+        (("beta", "--path"), ""),  # the labeled Motzkin path of length 0
+        (("phi", "--perm", "--json"), "2 4 1 3"),
+        (("phi", "--perm"), "2 2"),
+        (("gamma", "--steps", "--json", "--rgf"), "1 2 3 3 2"),
+    ):
+        want = run(capsys, "map", *argv, text)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text + "\n"))
+        assert run(capsys, "map", *argv, "-") == want, (argv, text[:20])
 
 
 def test_decompose(capsys):

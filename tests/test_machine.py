@@ -139,29 +139,40 @@ def test_trace_lines():
     assert ops.count("PUSH") == 4 and ops.count("POP") == 4
 
 
-def _joined_lines(trace):
+def _joined_lines(events):
     # the reference rendering: every snapshot joined on its own
     return [
         f"{op} {value} | stack: {','.join(str(v) for v in snap) if snap else '(empty)'}"
-        for op, value, snap in trace.events
+        for op, value, snap in events
     ]
 
 
-_TRACE_CONTROLS = [*permutations((1, 2, 3)), (2, 1), (1, 3, 2, 4)]
+_TRACE_CONTROLS = [*permutations((1, 2, 3)), (2, 1), (1, 3, 2, 4), (2, 1, 4, 3)]
 
 
 @pytest.mark.parametrize("sigma", _TRACE_CONTROLS, ids=lambda s: "".join(map(str, s)))
 def test_trace_lines_match_the_joined_snapshots(sigma):
-    # as_lines builds each stack text from the one below it; it must print
-    # what joining each snapshot prints, for replayed and generic traces
+    # as_lines replays the pass from its input and output; it must print
+    # what joining each snapshot the generic machine records prints
     for n in range(8):
         for p in permutations(range(1, n + 1)):
-            for _, trace in (sigma_stack_pass(p, sigma), _generic_pass(p, sigma)):
-                assert trace.as_lines() == _joined_lines(trace), p
+            _, trace = sigma_stack_pass(p, sigma)
+            assert trace.as_lines() == _joined_lines(_generic_pass(p, sigma)[1]), p
     for n in (100, 300, 1000):
         p = tuple(random.Random(n).sample(range(1, n + 1), n))
-        for _, trace in (sigma_stack_pass(p, sigma), _generic_pass(p, sigma)):
-            assert trace.as_lines() == _joined_lines(trace), n
+        _, trace = sigma_stack_pass(p, sigma)
+        assert trace.as_lines() == _joined_lines(_generic_pass(p, sigma)[1]), n
+
+
+@pytest.mark.parametrize("sigma", _TRACE_CONTROLS, ids=lambda s: "".join(map(str, s)))
+def test_trace_dicts_match_the_generic_snapshots(sigma):
+    for n in range(7):
+        for p in permutations(range(1, n + 1)):
+            _, trace = sigma_stack_pass(p, sigma)
+            assert trace.as_dicts() == [
+                {"op": op, "value": value, "stack": list(snap)}
+                for op, value, snap in _generic_pass(p, sigma)[1]
+            ], p
 
 
 @settings(max_examples=200)
@@ -170,15 +181,12 @@ def test_trace_lines_match_the_joined_snapshots(sigma):
 )
 def test_fast_matches_generic(lst):
     p = tuple(lst)
-    for sigma in permutations((1, 2, 3)):
-        generic = _generic_pass(p, sigma)
-        assert s_sigma(p, sigma) == generic[0]
-        assert sigma_stack_pass(p, sigma) == generic
     # traces are replayed from the output, so every control's must match
-    for sigma in ((2, 1), (1, 3, 2, 4), (2, 1, 4, 3)):
+    for sigma in _TRACE_CONTROLS:
         generic = _generic_pass(p, sigma)
         assert s_sigma(p, sigma) == generic[0]
-        assert sigma_stack_pass(p, sigma) == generic
+        out, trace = sigma_stack_pass(p, sigma)
+        assert (out, trace.events) == generic
 
 
 def test_stack_shape_on_sortables():
