@@ -29,21 +29,18 @@ longer controls and is the reference the cut scan is cross-checked
 against; Stacksort serves 21.
 
 A pass is fixed by its input and its output, so a trace (`MachineTrace`)
-holds just those two and the fast passes record nothing.  The top of the
+holds just those two and the fast passes record nothing: the top of the
 stack pops exactly when it is the next output letter, since pushing over
-it would bury it: before each push the top pops while it is the next
-output letter, and the rest of the stack flushes at the end.  The text
-trace runs that replay once over the input and the output; `_replay`
-rebuilds the event log, with a snapshot of the stack after each event,
-only when it is asked for.  `_generic_pass` has the generic machine
-record its own events and is the reference both replays are
-cross-checked against.
+it would bury it.  `_moves` replays a pass by that rule, yielding each
+event with the stack depth after it, to the text trace, the event log and
+the shape check.  `_generic_pass` has the generic machine record its own
+events and is the reference the replay is cross-checked against.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InvalidInputError, check_size
 from .perms import (
@@ -86,9 +83,9 @@ class MachineTrace(NamedTuple):
     """One first-stack pass, held as its input and its output.
 
     The pass pops the top of the stack exactly when it is the next output
-    letter, so these two fix every event.  An event is (op, value,
-    snapshot) where op is "PUSH" or "POP" and the snapshot is the stack
-    content read top-to-bottom just after the event.
+    letter, so these two fix every event, and `_moves` replays them.  An
+    event is (op, value, snapshot) where op is "PUSH" or "POP" and the
+    snapshot is the stack content read top-to-bottom just after the event.
     """
 
     perm: Perm
@@ -96,34 +93,24 @@ class MachineTrace(NamedTuple):
 
     @property
     def events(self) -> tuple[_Event, ...]:
-        """The events of the pass, replayed from the output on each call."""
-        return _replay(self.perm, self.output)
+        """The events of the pass; a POP reuses the snapshot its level's PUSH built."""
+        snaps = [()] * (len(self.perm) + 1)  # snaps[d]: the stack of depth d
+        events = []
+        for op, v, d in _moves(self.perm, self.output):
+            if op == "PUSH":
+                snaps[d] = (v,) + snaps[d - 1]
+            events.append((op, v, snaps[d]))
+        return tuple(events)
 
     def as_lines(self) -> list[str]:
-        """One text line per event, replayed without building the events.
-
-        Each stack text is built from the one a level below it, so each
-        event costs one string build and the work is linear in the output.
-        """
-        out = self.output
-        name = list(map(str, range(len(out) + 1)))  # name[v] == str(v)
-        texts = ["(empty)"]  # texts[d]: the stack of depth d, top first
-        stack: list[int] = []  # bottom to top
+        """One text line per event, each stack text built from the one below it."""
+        name = list(map(str, range(len(self.output) + 1)))  # name[v] == str(v)
+        texts = ["(empty)"] * len(name)  # texts[d]: the stack of depth d, top first
         lines = []
-        k = 0  # output letters popped so far
-        for x in self.perm:
-            while stack and stack[-1] == out[k]:
-                del stack[-1], texts[-1]
-                lines.append(f"POP {name[out[k]]} | stack: {texts[-1]}")
-                k += 1
-            s = name[x]
-            texts.append(f"{s},{texts[-1]}" if stack else s)
-            stack.append(x)
-            lines.append(f"PUSH {s} | stack: {texts[-1]}")
-        lines.extend(
-            f"POP {name[v]} | stack: {text}"
-            for v, text in zip(reversed(stack), reversed(texts[:-1]))
-        )
+        for op, v, d in _moves(self.perm, self.output):
+            if op == "PUSH":
+                texts[d] = f"{name[v]},{texts[d - 1]}" if d > 1 else name[v]
+            lines.append(f"{op} {name[v]} | stack: {texts[d]}")
         return lines
 
     def as_dicts(self) -> list[dict]:
@@ -161,25 +148,25 @@ def _generic_output(pi: Perm, sigma: Perm, events: list | None = None) -> Perm:
     return tuple(output)
 
 
-def _replay(pi: Perm, out: Perm) -> tuple[_Event, ...]:
-    """The events of the first-stack pass that turns pi into out.
+def _moves(pi: Perm, out: Perm) -> Iterator[tuple[str, int, int]]:
+    """The (op, value, depth after) events of the pass turning pi into out.
 
     Before each push, the top pops while it is the next output letter;
-    the rest of the stack flushes at the end.  Each snapshot is a new
-    tuple, so the work is quadratic in the stack depth.
+    the rest of the stack flushes at the end.
     """
-    stack: tuple[int, ...] = ()  # top to bottom
-    events: list[_Event] = []
-    k = 0  # output letters popped so far
+    stack = [0] * (len(pi) + 1)  # stack[1..d], bottom to top; stack[0] is no letter
+    d = k = 0  # the depth, and the output letters popped so far
     for x in pi:
-        while stack and stack[0] == out[k]:
-            stack = stack[1:]
-            events.append(("POP", out[k], stack))
+        while stack[d] == out[k]:
+            d -= 1
+            yield "POP", out[k], d
             k += 1
-        stack = (x,) + stack
-        events.append(("PUSH", x, stack))
-    events.extend(("POP", v, stack[i + 1:]) for i, v in enumerate(stack))
-    return tuple(events)
+        d += 1
+        stack[d] = x
+        yield "PUSH", x, d
+    for v in out[k:]:
+        d -= 1
+        yield "POP", v, d
 
 
 # The cut rule of each length-3 control (see the module docstring).
@@ -302,32 +289,42 @@ def enumerate_sortable(
 def stack_shape_check(pi: Iterable[int]) -> bool:
     """Verify the stack stays "minima floor + one increasing block" shaped.
 
-    For a 132-sortable permutation, whenever the next input value lies in
-    block B_i, the stack read bottom-to-top must be m_1 ... m_i followed
-    by an increasing run of elements of B_i.
+    For a 132-sortable permutation, whenever the next input value x lies
+    in block B_i, the stack read bottom-to-top must be m_1 ... m_i
+    followed by an increasing run of elements of B_i.  x is checked
+    against the stack the previous push left, before x's own pops.
     """
     p = tuple(pi)
-    out, trace = sigma_stack_pass(p, (1, 3, 2))
+    out = s_sigma(p, (1, 3, 2))
     if _contains_231(out):
         raise InvalidInputError("shape law only applies to sortable permutations")
-    # the stack x meets is the one left by the previous PUSH, read bottom-to-top
-    pushed = [snap for op, _, snap in trace.events if op == "PUSH"]
-    minima: list[int] = []
-    block: dict[int, int] = {}  # non-minimum -> 1-based index of its block
-    for x, snap in zip(p, [()] + pushed):
-        if not minima or x < minima[-1]:
-            minima.append(x)
+    return _shape_holds(p, out)
+
+
+def _shape_holds(p: Perm, out: Perm) -> bool:
+    """The shape law on the pass turning p into out, one lookup per push.
+
+    floor[d] is b when levels 1..b of the stack hold left-to-right minima
+    and levels b+1..d an increasing run of elements of B_b, else None; x in
+    B_i meets the law iff floor[d] == i at the depth d the previous push left.
+    """
+    floor: list[int | None] = [0] * (len(p) + 1)
+    top = [0] * (len(p) + 1)  # top[d]: the value at level d
+    low = len(p) + 1  # the smallest value read so far
+    i = 0  # left-to-right minima read so far
+    depth = 0  # the depth the previous push left
+    for op, x, d in _moves(p, out):
+        if op == "POP":
             continue
-        i = block[x] = len(minima)
-        stack = snap[::-1]
-        floor = stack[:i]
-        rest = stack[i:]
-        if floor != tuple(minima):
+        if x < low:
+            low, i = x, i + 1
+            floor[d] = d if floor[d - 1] == d - 1 else None
+        elif floor[depth] != i:
             return False
-        if any(a >= b for a, b in zip(rest, rest[1:])):
-            return False
-        if any(block[v] != i for v in rest):
-            return False
+        else:
+            floor[d] = i if floor[d - 1] == i and top[d - 1] < x else None
+        top[d] = x
+        depth = d
     return True
 
 

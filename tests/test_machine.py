@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from patternsort.errors import InvalidInputError, ResourceLimitError
-from patternsort.grid import generate_sortable
+from patternsort.grid import GrowthState, generate_sortable
 from patternsort.machine import (
     DEFAULT_PERM_CAP,
     _generic_pass,
+    _moves,
+    _shape_holds,
     enumerate_sortable,
     is_sigma_sortable,
     s_sigma,
@@ -158,10 +160,12 @@ def test_trace_lines_match_the_joined_snapshots(sigma):
         for p in permutations(range(1, n + 1)):
             _, trace = sigma_stack_pass(p, sigma)
             assert trace.as_lines() == _joined_lines(_generic_pass(p, sigma)[1]), p
-    for n in (100, 300, 1000):
-        p = tuple(random.Random(n).sample(range(1, n + 1), n))
+    # random stacks stay shallow; the identity and its reverse do not
+    long = [tuple(random.Random(n).sample(range(1, n + 1), n)) for n in (100, 300, 1000)]
+    long += [tuple(range(1, 101)), tuple(range(100, 0, -1))]
+    for p in long:
         _, trace = sigma_stack_pass(p, sigma)
-        assert trace.as_lines() == _joined_lines(_generic_pass(p, sigma)[1]), n
+        assert trace.as_lines() == _joined_lines(_generic_pass(p, sigma)[1]), p
 
 
 @pytest.mark.parametrize("sigma", _TRACE_CONTROLS, ids=lambda s: "".join(map(str, s)))
@@ -187,12 +191,59 @@ def test_fast_matches_generic(lst):
         assert s_sigma(p, sigma) == generic[0]
         out, trace = sigma_stack_pass(p, sigma)
         assert (out, trace.events) == generic
+        assert list(_moves(p, out)) == [(op, v, len(snap)) for op, v, snap in generic[1]]
 
 
 def test_stack_shape_on_sortables():
     assert stack_shape_check((2, 4, 1, 3))
     with pytest.raises(InvalidInputError):
         stack_shape_check((1, 3, 2))
+    # seeded length-300 sortables, read off the generic machine's snapshots too
+    rng = random.Random(300)
+    for _ in range(3):
+        s = GrowthState()
+        for _ in range(300):
+            _, s = rng.choice(s.children())
+        assert stack_shape_check(s.perm)
+        assert _shape_by_snapshots(s.perm, _generic_pass(s.perm, (1, 3, 2))[1])
+
+
+def _shape_by_snapshots(p, events):
+    # the reference: the shape law read off each snapshot in full; the
+    # stack x meets is the one left by the previous PUSH, read bottom-to-top
+    pushed = [snap for op, _, snap in events if op == "PUSH"]
+    minima = []
+    block = {}  # non-minimum -> 1-based index of its block
+    for x, snap in zip(p, [()] + pushed):
+        if not minima or x < minima[-1]:
+            minima.append(x)
+            continue
+        i = block[x] = len(minima)
+        stack = snap[::-1]
+        floor = stack[:i]
+        rest = stack[i:]
+        if floor != tuple(minima):
+            return False
+        if any(a >= b for a, b in zip(rest, rest[1:])):
+            return False
+        if any(block[v] != i for v in rest):
+            return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "sigma", [*permutations((1, 2, 3)), (2, 1)], ids=lambda s: "".join(map(str, s))
+)
+def test_shape_holds_matches_the_snapshot_reading(sigma):
+    # passes under other controls, and unsortables, reach the False branch
+    verdicts = set()
+    for n in range(8):
+        for p in permutations(range(1, n + 1)):
+            out, events = _generic_pass(p, sigma)
+            got = _shape_holds(p, out)
+            assert got == _shape_by_snapshots(p, events), p
+            verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def test_sigma_hat():
