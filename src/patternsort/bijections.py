@@ -8,8 +8,9 @@ validated input can never trigger) raise MalformedInputError.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import inf
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InsertRejected, InvalidInputError, MalformedInputError
 from .grid import GrowthState, _sortable, strip_word
@@ -283,65 +284,62 @@ class TripleIndex(NamedTuple):
     i3: int
 
 
-def rightmost_321(word: Iterable[int]) -> TripleIndex | None:
-    """Lexicographically largest positions of a strictly decreasing triple,
-    or None."""
-    r = tuple(word)
-    n = len(r)
-    # right to left: low is the least letter seen, mid the least one with
-    # a smaller letter after it; the first letter above mid starts the triple
-    low = mid = inf
-    for a in range(n - 1, -1, -1):
-        v = r[a]
-        if mid < v:
-            break
-        if low < v:
-            mid = v
-        else:
-            low = v
-    else:
-        return None
-    # the middle entry: the rightmost letter below v with a smaller one after it
-    low = inf
-    for b in range(n - 1, a, -1):
-        if low < r[b] < v:
-            break
-        if r[b] < low:
-            low = r[b]
-    c = next(k for k in range(n - 1, b, -1) if r[k] < r[b])
-    return TripleIndex(a + 1, b + 1, c + 1)
+def _swap_321s(w: list[int]) -> Iterator[TripleIndex]:
+    """Yield the lexicographically largest strictly decreasing triple of w,
+    then swap its first two letters in place, until w is 321-free."""
+    n = len(w)
+    low = [inf] * (n + 1)  # low[k]: least letter of w[k:]
+    mid = low[:]  # mid[k]: least letter of w[k:] with a smaller one after it
+    a = n - 1  # right to left, the first letter above mid starts the triple
+    while a >= 0:
+        v = w[a]
+        if v <= mid[a + 1]:
+            low[a], mid[a] = (low[a + 1], v) if low[a + 1] < v else (v, mid[a + 1])
+            a -= 1
+            continue
+        # mid[] and low[] grow to the right: bisect for the middle and last entries
+        b = bisect_left(mid, v, a + 1, n) - 1
+        c = bisect_left(low, w[b], b + 1, n) - 1
+        yield TripleIndex(a + 1, b + 1, c + 1)
+        w[a], w[b] = w[b], v
+        # low[] holds, as w[c] is below both swapped letters.  mid[] can only
+        # grow on (a, b], so no triple starts there; update it until it holds.
+        for k in range(b, a, -1):
+            m = w[k] if low[k + 1] < w[k] else mid[k + 1]
+            if m == mid[k]:
+                break
+            mid[k] = m
 
 
-def leftmost_repeat_231(word: Iterable[int]) -> TripleIndex | None:
-    """Lexicographically least 231 occurrence whose first letter is a
-    repeat (not the first occurrence of its value), or None."""
-    r = tuple(word)
-    n = len(r)
+def _swap_repeat_231s(w: list[int]) -> Iterator[TripleIndex]:
+    """Yield the lexicographically least repeat-led 231 of w, then swap its
+    first two letters in place, until there is none."""
+    n = len(w)
     after = [inf] * n  # after[k]: least letter right of index k
-    low = inf
-    for k in range(n - 1, -1, -1):
-        after[k] = low
-        if r[k] < low:
-            low = r[k]
-    seen: set[int] = set()
-    for a, v in enumerate(r):
+    for k in range(n - 2, -1, -1):
+        after[k] = min(w[k + 1], after[k + 1])
+    # no swap changes after[]: both swapped letters exceed w[c] >= after[b]
+    seen: set[int] = set()  # the letters before a
+    a, b = 0, 1
+    while a < n - 2:  # a triple needs two letters after a
+        v = w[a]
         if v in seen:
-            # after[] only grows to the right, so once no smaller letter
-            # follows a candidate 3, none follows any later one either
-            for b in range(a + 1, n):
-                if after[b] >= v:
-                    break
-                if r[b] > v:
-                    c = next(k for k in range(b + 1, n) if r[k] < v)
-                    return TripleIndex(a + 1, b + 1, c + 1)
+            # after[] grows: no letter below v follows the first b with after[b] >= v
+            while w[b] <= v and after[b] < v:
+                b += 1
+            if after[b] < v:
+                c = b + 1
+                while w[c] >= v:
+                    c += 1
+                yield TripleIndex(a + 1, b + 1, c + 1)
+                w[a], w[b] = w[b], v
+                # now no letter in (a, b] exceeds w[a], and a triple starting
+                # before a would give one before the swap
+                b += 1
+                continue
         seen.add(v)
-    return None
-
-
-def _swap(r: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
-    w = list(r)
-    w[a - 1], w[b - 1] = w[b - 1], w[a - 1]
-    return tuple(w)
+        a += 1
+        b = a + 1
 
 
 def to_12321_avoider(
@@ -359,12 +357,13 @@ def to_12321_avoider(
     if _contains_12231(r):  # on an RGF, the same as a repeat-led 231
         raise InvalidInputError(f"{r} contains a repeat-led 231")
     steps: list[TripleIndex] = []
-    while (t := rightmost_321(r)) is not None:
-        if steps and not t < steps[-1]:
-            raise MalformedInputError(f"triple {t} did not decrease below {steps[-1]}")
-        steps.append(t)
-        r = _swap(r, t.i1, t.i2)
-    validate(r)
+    if _contains_321(r):  # else no swap is needed
+        w = list(r)
+        for t in _swap_321s(w):
+            if steps and not t < steps[-1]:
+                raise MalformedInputError(f"triple {t} did not decrease below {steps[-1]}")
+            steps.append(t)
+        r = validate(w)
     return (r, steps) if with_steps else r
 
 
@@ -377,13 +376,14 @@ def to_12231_avoider(
     decrease: here each must increase, so at most C(n, 3) swaps are made.
     """
     r = validate(word)
-    if rightmost_321(r) is not None:
+    if _contains_321(r):
         raise InvalidInputError(f"{r} contains 321")
     steps: list[TripleIndex] = []
-    while (t := leftmost_repeat_231(r)) is not None:
-        if steps and not steps[-1] < t:
-            raise MalformedInputError(f"triple {t} did not increase above {steps[-1]}")
-        steps.append(t)
-        r = _swap(r, t.i1, t.i2)
-    validate(r)
+    if _contains_12231(r):  # else no swap is needed
+        w = list(r)
+        for t in _swap_repeat_231s(w):
+            if steps and not steps[-1] < t:
+                raise MalformedInputError(f"triple {t} did not increase above {steps[-1]}")
+            steps.append(t)
+        r = validate(w)
     return (r, steps) if with_steps else r

@@ -329,11 +329,12 @@ def all_perms(n: int) -> Iterator[Perm]:
 # cross-tested against contains_classical
 
 
-def _contains_321(w: Perm) -> bool:
-    """The entries that are not left-to-right maxima fail to increase."""
-    mx = low = 0  # running maximum; last entry below it
+def _contains_321(w: Sequence[int]) -> bool:
+    """The letters below an earlier one fail to weakly increase: a strictly
+    decreasing triple, on any word of positive integers."""
+    mx = low = 0  # running maximum; last letter below it
     for v in w:
-        if v > mx:
+        if v >= mx:
             mx = v
         elif v < low:
             return True

@@ -1,19 +1,19 @@
 import random
 from itertools import combinations, product
+from math import inf
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from patternsort.bijections import (
+    TripleIndex,
     av321_to_rgf,
     dyck_path_to_rgf,
     labeled_motzkin_to_rgf,
-    leftmost_repeat_231,
     rgf_to_av321,
     rgf_to_dyck_path,
     rgf_to_labeled_motzkin,
     rgf_to_sortable,
-    rightmost_321,
     sortable_to_rgf,
     to_12231_avoider,
     to_12321_avoider,
@@ -23,6 +23,7 @@ from patternsort.errors import InvalidInputError, MalformedInputError
 from patternsort.grid import children
 from patternsort.machine import enumerate_sortable
 from patternsort.paths import LABELED_STEPS, dyck_children, final_descent_length
+from patternsort.perms import _contains_321
 from patternsort.rgf import (
     _contains_12231,
     active_sites_1221,
@@ -177,6 +178,82 @@ def test_av321_domain_errors():
 
 # -- swap maps between the two Catalan-transform families --------------------
 
+# The reference for both swap maps: full scans for the next triple, and
+# loops that rescan the whole word after every swap.
+
+def rightmost_321(word):
+    """Lexicographically largest positions of a strictly decreasing triple,
+    or None."""
+    r = tuple(word)
+    n = len(r)
+    # right to left: low is the least letter seen, mid the least one with
+    # a smaller letter after it; the first letter above mid starts the triple
+    low = mid = inf
+    for a in range(n - 1, -1, -1):
+        v = r[a]
+        if mid < v:
+            break
+        if low < v:
+            mid = v
+        else:
+            low = v
+    else:
+        return None
+    # the middle entry: the rightmost letter below v with a smaller one after it
+    low = inf
+    for b in range(n - 1, a, -1):
+        if low < r[b] < v:
+            break
+        if r[b] < low:
+            low = r[b]
+    c = next(k for k in range(n - 1, b, -1) if r[k] < r[b])
+    return TripleIndex(a + 1, b + 1, c + 1)
+
+
+def leftmost_repeat_231(word):
+    """Lexicographically least 231 occurrence whose first letter is a
+    repeat (not the first occurrence of its value), or None."""
+    r = tuple(word)
+    n = len(r)
+    after = [inf] * n  # after[k]: least letter right of index k
+    low = inf
+    for k in range(n - 1, -1, -1):
+        after[k] = low
+        if r[k] < low:
+            low = r[k]
+    seen = set()
+    for a, v in enumerate(r):
+        if v in seen:
+            # after[] only grows to the right, so once no smaller letter
+            # follows a candidate 3, none follows any later one either
+            for b in range(a + 1, n):
+                if after[b] >= v:
+                    break
+                if r[b] > v:
+                    c = next(k for k in range(b + 1, n) if r[k] < v)
+                    return TripleIndex(a + 1, b + 1, c + 1)
+        seen.add(v)
+    return None
+
+
+def _rescan(r, scan):
+    """Swap at each triple that scan finds in the whole word until none."""
+    steps = []
+    while (t := scan(r)) is not None:
+        steps.append(t)
+        w = list(r)
+        w[t.i1 - 1], w[t.i2 - 1] = w[t.i2 - 1], w[t.i1 - 1]
+        r = tuple(w)
+    return r, steps
+
+
+def _assert_swap_maps_match_oracle(r):
+    """gamma on r, and its inverse on the image, swap as the rescans do."""
+    g, steps = _rescan(r, rightmost_321)
+    assert to_12321_avoider(r, with_steps=True) == (g, steps), r
+    assert to_12231_avoider(g, with_steps=True) == _rescan(g, leftmost_repeat_231), g
+
+
 def test_triple_scans():
     assert rightmost_321((1, 2, 3, 2, 1)) == (3, 4, 5)
     assert rightmost_321((1, 2, 2, 1)) is None
@@ -186,14 +263,15 @@ def test_triple_scans():
 
 
 def test_triple_scans_match_bruteforce():
-    # every word over 1..4, not only RGFs: the swap maps scan the words
-    # between two swaps too
+    # every word over 1..4, not only RGFs: the swap scans see the words
+    # between two swaps too, and _contains_321 gates both swap maps
     for n in range(8):
         triples = list(combinations(range(1, n + 1), 3))
         for w in product(range(1, 5), repeat=n):
             repeat = [v in w[:i] for i, v in enumerate(w)]
             dec = [t for t in triples if w[t[0] - 1] > w[t[1] - 1] > w[t[2] - 1]]
             assert rightmost_321(w) == max(dec, default=None), w
+            assert _contains_321(w) == bool(dec), w
             led = [
                 (a, b, c)
                 for a, b, c in triples
@@ -203,7 +281,8 @@ def test_triple_scans_match_bruteforce():
 
 
 def test_repeat_231_is_12231_on_rgfs():
-    # rgf_to_sortable and to_12321_avoider gate on _contains_12231, and
+    # rgf_to_sortable and to_12321_avoider gate on _contains_12231,
+    # to_12231_avoider swaps only where it holds, and the oracle for
     # to_12231_avoider swaps at leftmost_repeat_231; the generic matcher is
     # the reference for both
     for n in range(10):
@@ -250,17 +329,16 @@ def test_gamma_domain_gates():
 
 def test_gamma_rejects_a_repeated_triple(monkeypatch):
     # each direction checks that its triples move strictly, down for
-    # gamma and up for its inverse, which bounds both loops; a scan that
-    # finds the same triple twice (then none) must trip that check
-    def twice():
-        found = iter([bijections.TripleIndex(3, 4, 5)] * 2 + [None])
-        return lambda r: next(found)
+    # gamma and up for its inverse, which bounds both loops; a swap scan
+    # that yields the same triple twice must trip that check
+    def twice(w):
+        yield from [TripleIndex(3, 4, 5)] * 2
 
     with monkeypatch.context() as m:
-        m.setattr(bijections, "rightmost_321", twice())
+        m.setattr(bijections, "_swap_321s", twice)
         with pytest.raises(MalformedInputError, match="did not decrease"):
             to_12321_avoider((1, 2, 3, 2, 1))
-    monkeypatch.setattr(bijections, "leftmost_repeat_231", twice())
+    monkeypatch.setattr(bijections, "_swap_repeat_231s", twice)
     with pytest.raises(MalformedInputError, match="did not increase"):
         to_12231_avoider((1, 2, 2, 3, 1))
 
@@ -273,6 +351,21 @@ def test_gamma_inverse_undoes_gamma_in_reverse_order():
             r, back = to_12231_avoider(w, with_steps=True)
             _, steps = to_12321_avoider(r, with_steps=True)
             assert [t[:2] for t in back] == [t[:2] for t in reversed(steps)], w
+
+
+def test_swap_maps_match_the_rescan_oracle():
+    for n in range(10):
+        for r in enumerate_avoiders(n, (1, 2, 2, 3, 1)):
+            assert to_12321_avoider(r, with_steps=True) == _rescan(r, rightmost_321), r
+        for g in enumerate_avoiders(n, (1, 2, 3, 2, 1)):
+            back = _rescan(g, leftmost_repeat_231)
+            assert to_12231_avoider(g, with_steps=True) == back, g
+
+
+@pytest.mark.parametrize("k", [50, 100, 150])
+def test_swap_maps_match_the_rescan_oracle_on_palindromes(k):
+    # 1 2 ... k k ... 2 1 has the most decreasing triples of its length
+    _assert_swap_maps_match_oracle((*range(1, k + 1), *range(k, 0, -1)))
 
 
 
@@ -289,6 +382,7 @@ def test_every_map_round_trips_at_length_300():
     assert rgf_to_sortable(r) == p
     g, swaps = to_12321_avoider(r, with_steps=True)
     assert swaps and to_12231_avoider(g) == r
+    _assert_swap_maps_match_oracle(r)
 
     path = ""
     while len(path) < 600:
