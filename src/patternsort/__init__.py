@@ -1,5 +1,9 @@
 """Two-stack sorting, grid decompositions, and the bijections between
-sortable permutations, restricted growth functions, and lattice paths."""
+sortable permutations, restricted growth functions, and lattice paths.
+
+Importing the package loads the library modules it re-exports, but not
+the verify registry: ``run_checks`` loads ``checks`` on first access.
+"""
 
 from .errors import (
     InsertRejected,
@@ -38,9 +42,20 @@ from .bijections import (
     to_12231_avoider,
     to_12321_avoider,
 )
-from .checks import run_checks
 
 __version__ = "0.1.0"
+
+# the verify registry's scopes, read by the CLI parser without loading checks
+_SCOPES = ("machine", "grid", "rgf", "bijections", "sequences")
+
+
+def __getattr__(name: str):
+    if name == "run_checks":
+        from .checks import run_checks
+
+        return run_checks
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "InsertRejected",

@@ -24,7 +24,8 @@ each level from the one before, and the 132 admission and the continued
 fractions are fixed cases.  Every row looks each library function up when
 it runs (``lambda r: bijections.f(r)``, never the bare ``bijections.f``),
 so a patched library is the one that gets checked, and builds nothing
-when this module is imported, since every command imports it.
+when this module is imported, which ``verify`` and ``run_checks`` do on
+first use.
 
 The minimal counterexample is the first failure in size order, then in
 the order the family is enumerated; in a row of several parts, it comes
@@ -40,11 +41,9 @@ from functools import partial
 from itertools import permutations, product
 from typing import Any, Callable, Iterable, NamedTuple
 
-from . import bijections, grid, machine, paths, perms, rgf, sequences
+from . import _SCOPES as SCOPES, bijections, grid, machine, paths, perms, rgf, sequences
 from .errors import InvalidInputError
 from .perms import Perm
-
-SCOPES = ("machine", "grid", "rgf", "bijections", "sequences")
 
 WILF_ELEVEN = (
     (1, 2, 1, 2, 3),

@@ -34,7 +34,7 @@ import os
 import sys
 from typing import Any, Callable, NamedTuple, Sequence
 
-from . import bijections, checks, grid, machine, paths, rgf, sequences
+from . import _SCOPES, bijections, grid, machine, paths, rgf
 from .errors import InvalidInputError, MalformedInputError, ResourceLimitError, check_size
 from .perms import _contains_231, as_perm, format_perm, ltr_minima, parse_perm, parse_word
 from .rgf import format_rgf
@@ -300,7 +300,9 @@ def _do_map(args) -> tuple[str | dict, int]:
 
 
 def _do_verify(args) -> tuple[str | dict, int]:
-    results = checks.run_checks(args.scope, args.nmax)
+    from .checks import run_checks
+
+    results = run_checks(args.scope, args.nmax)
     failed = [r for r in results if not r.passed]
     if args.json:
         return {
@@ -324,6 +326,8 @@ def _do_verify(args) -> tuple[str | dict, int]:
 
 
 def _table_rows(args) -> tuple[str, list[tuple[int, int]], int]:
+    from . import sequences
+
     kind = args.kind
     n = args.n
     if n < 1:
@@ -445,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("verify", help="run the exhaustive check suite")
-    p.add_argument("--scope", choices=["all", *checks.SCOPES], default="all")
+    p.add_argument("--scope", choices=["all", *_SCOPES], default="all")
     p.add_argument("--nmax", type=int, default=6)
     common(p)
 

@@ -21,7 +21,6 @@ read off the list only when asked for.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from math import inf
 from typing import Iterable, NamedTuple
 
@@ -30,14 +29,13 @@ from .machine import DEFAULT_PERM_CAP, is_sigma_sortable
 from .perms import Perm, _contains_231, as_perm, ltr_minima
 
 
-@dataclass(frozen=True)
-class GridDecomposition:
+class GridDecomposition(NamedTuple):
     perm: Perm
     minima: tuple[tuple[int, int], ...]  # (position, value), values decreasing
     blocks: tuple[Perm, ...]  # B_1..B_k, values in position order
     hstrips: tuple[Perm, ...]  # H_1..H_k, values in position order
-    cells: dict[tuple[int, int], Perm] = field(default_factory=dict)  # nonempty only
-    core: Perm = ()
+    cells: dict[tuple[int, int], Perm]  # nonempty only
+    core: Perm
 
     @property
     def k(self) -> int:

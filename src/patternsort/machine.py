@@ -23,10 +23,13 @@ of x:
     231     above x    whether any lies below x, a y after one
     213     below x    whether any lies above x, a y after one
 
-Controls whose y lies below x run on negated values, which puts y above
-x and keeps the statistic.  The generic machine (`_generic_output`) serves
-longer controls and is the reference the cut scan is cross-checked
-against; Stacksort serves 21.
+Controls whose y lies below x run on complemented values (n + 1 - v),
+which puts y above x and keeps the statistic.  The farthest rule needs
+no scan: its cut is the lowest level j with x < S[j] < max S[:j], so
+the levels that pop are those where the largest value below an earlier
+one, at or under the level, exceeds x (`_farthest_output`).  The generic
+machine (`_generic_output`) serves longer controls and is the reference
+the cut scan is cross-checked against; Stacksort serves 21.
 
 A pass is fixed by its input and its output, so a trace (`MachineTrace`)
 holds just those two and the fast passes record nothing: the top of the
@@ -63,9 +66,8 @@ _Event = tuple[str, int, tuple[int, ...]]  # (op, value, snapshot) of one trace 
 
 def _check_sigma(sigma: Iterable[int]) -> Perm:
     s = tuple(sigma)
-    # a 3-tuple of plain ints that keys a cut rule, or a plain-int 21, is a
-    # permutation; bools, floats and int subclasses fail the type test and
-    # are validated in full
+    # a plain-int 3-tuple that keys a cut rule, or a plain-int 21, is a permutation;
+    # bools, floats and int subclasses fail the type test and are validated in full
     if len(s) == 3 and type(s[0]) is type(s[1]) is type(s[2]) is int and s in _CUT_RULES:
         return s
     if s == (2, 1) and type(s[0]) is type(s[1]) is int:
@@ -114,10 +116,7 @@ class MachineTrace(NamedTuple):
         return lines
 
     def as_dicts(self) -> list[dict]:
-        return [
-            {"op": op, "value": value, "stack": list(snap)}
-            for op, value, snap in self.events
-        ]
+        return [{"op": op, "value": v, "stack": list(s)} for op, v, s in self.events]
 
 
 def _generic_pass(pi: Perm, sigma: Perm) -> tuple[Perm, tuple[_Event, ...]]:
@@ -185,16 +184,18 @@ _CUT_RULES: dict[Perm, tuple[bool, int]] = {
 def _cut_pass(pi: Perm, sigma: Perm) -> Perm:
     """First-pass output under a length-3 control, without backtracking.
 
-    Scanning the stack bottom to top, the lowest y that completes an
-    occurrence with some z below it is the cut: everything from the cut
-    upward pops, top first, before x enters.
+    Each push scans the stack bottom to top for the cut (see the module
+    docstring); the farthest rule pops from the top instead.
     """
     flip, stat = _CUT_RULES[sigma]
-    if flip:
-        pi = tuple(-v for v in pi)
     above_all = len(pi) + 1
+    if flip:
+        pi = tuple(map(above_all.__sub__, pi))
+    if stat == _FARTHEST:
+        output = _farthest_output(pi)
+        return tuple(map(above_all.__sub__, output)) if flip else tuple(output)
     stack: list[int] = []  # bottom to top
-    output: list[int] = []
+    output = []
     for x in pi:
         y = None  # the cut value
         if stat == _NEAREST:
@@ -205,14 +206,6 @@ def _cut_pass(pi: Perm, sigma: Perm) -> Perm:
                         y = v
                         break
                     low = v
-        elif stat == _FARTHEST:
-            high = x  # farthest z-side value so far; none yet
-            for v in stack:
-                if v > x:
-                    if v < high:
-                        y = v
-                        break
-                    high = v
         else:
             seen = False  # some z-side value so far
             for v in stack:
@@ -228,8 +221,30 @@ def _cut_pass(pi: Perm, sigma: Perm) -> Perm:
         stack.append(x)
     output.extend(reversed(stack))
     if flip:
-        return tuple(-v for v in output)
+        return tuple(map(above_all.__sub__, output))
     return tuple(output)
+
+
+def _farthest_output(pi: Perm) -> list[int]:
+    """The 123 pass.  q[d] is the largest value at levels 1..d that lies
+    below an earlier one, h[d] the largest there, both 0 when empty."""
+    n = len(pi)
+    stack, qs, hs = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+    output: list[int] = []
+    d = q = h = 0  # the depth, and q and h of the top level
+    for x in pi:
+        while q > x:
+            output.append(stack[d])
+            d -= 1
+            q, h = qs[d], hs[d]
+        if x < h:
+            q = x
+        else:
+            h = x
+        d += 1
+        stack[d], qs[d], hs[d] = x, q, h
+    output.extend(stack[d:0:-1])
+    return output
 
 
 def _s21_output(pi: Perm) -> Perm:
@@ -334,9 +349,7 @@ def sigma_hat(sigma: Perm) -> Perm:
     return (s[1], s[0]) + s[2:]
 
 
-def witness_non_class(
-    sigma: Iterable[int], max_n: int = 6
-) -> tuple[Perm, Perm] | None:
+def witness_non_class(sigma: Iterable[int], max_n: int = 6) -> tuple[Perm, Perm] | None:
     """Smallest (host, pattern) with host sortable but the pattern not.
 
     Scans hosts by length then lexicographic order, and inside each host
@@ -380,7 +393,6 @@ def verify_characterizations(
     """
     s = _check_sigma(sigma)
     check_size(n, cap, f"verification at n={n}")
-
     if s == (1, 3, 2):
         kind, what = "mesh-basis", "avoiders of 2314 and the shaded 132"
         predicted = lambda p: avoids(p, (2, 3, 1, 4)) and not contains_mesh(p, MU)
@@ -393,19 +405,10 @@ def verify_characterizations(
         hosts = max(n, 6) if len(s) == 3 else n
         w = witness_non_class(s, max_n=hosts)
         if w is None:
-            return CharacterizationReport(
-                s, "non-class", False, f"no witness found up to n={hosts}", ()
-            )
-        host, pat = w
-        return CharacterizationReport(
-            s,
-            "non-class",
-            True,
-            f"sortable {host} contains unsortable {pat}",
-            (host, pat),
-        )
+            detail = f"no witness found up to n={hosts}"
+            return CharacterizationReport(s, "non-class", False, detail, ())
+        detail = "sortable {} contains unsortable {}".format(*w)
+        return CharacterizationReport(s, "non-class", True, detail, w)
     # the machine disagrees where "its output contains 231" equals "predicted sortable"
     bad = tuple(p for p in all_perms(n) if _contains_231(_pass(p, s)) == predicted(p))
-    return CharacterizationReport(
-        s, kind, not bad, f"sortable set vs {what}, n={n}", bad
-    )
+    return CharacterizationReport(s, kind, not bad, f"sortable set vs {what}, n={n}", bad)

@@ -5,6 +5,8 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -320,6 +322,73 @@ def test_verify_json(capsys):
     doc = json.loads(out)
     assert code == 0 and doc["passed"] is True
     assert all(c["passed"] for c in doc["checks"])
+
+
+_VERIFY_USAGE = """\
+usage: patternsort verify [-h]
+                          [--scope {all,machine,grid,rgf,bijections,sequences}]
+                          [--nmax NMAX] [--out OUT] [--json]
+"""
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="the pinned text is CPython 3.11's argparse wording"
+)
+def test_verify_scope_help_and_usage_error_are_pinned(capsys, monkeypatch):
+    # the scope names are read without loading checks; help and errors keep their bytes
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, "verify", "--help") == (0, _VERIFY_USAGE + """\
+
+options:
+  -h, --help            show this help message and exit
+  --scope {all,machine,grid,rgf,bijections,sequences}
+  --nmax NMAX
+  --out OUT             write the report to this file
+  --json                emit JSON
+""", "")
+    assert run(capsys, "verify", "--scope", "bogus") == (2, "", _VERIFY_USAGE + (
+        "patternsort verify: error: argument --scope: invalid choice: 'bogus' (choose from "
+        "'all', 'machine', 'grid', 'rgf', 'bijections', 'sequences')\n"
+    ))
+
+
+def test_verify_scope_choices_are_the_registry_scopes():
+    from patternsort.checks import SCOPES
+
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    (scope,) = [a for a in sub.choices["verify"]._actions if a.dest == "scope"]
+    assert tuple(scope.choices) == ("all", *SCOPES)
+
+
+_COLD_START = """
+import sys
+import patternsort
+from patternsort import cli
+cli.build_parser()
+cli.main(["sortable", "--perm", "2 1 3"])
+print(" ".join(sorted(sys.modules)))
+assert patternsort.run_checks is patternsort.checks.run_checks
+names = {}
+exec("from patternsort import *", names)
+assert names["run_checks"] is patternsort.checks.run_checks
+"""
+
+
+def test_a_fresh_process_loads_only_what_its_verb_runs():
+    # pytest itself loads dataclasses, so the imports are read in a child;
+    # -S keeps site's .pth files from loading modules of their own
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _COLD_START],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    answer, modules = done.stdout.splitlines()
+    assert answer == "true"
+    loaded = set(modules.split())
+    assert "patternsort.cli" in loaded
+    for name in ("patternsort.checks", "patternsort.sequences", "dataclasses", "inspect"):
+        assert name not in loaded, name
 
 
 def test_export_trace_json(capsys):

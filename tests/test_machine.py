@@ -194,6 +194,45 @@ def test_fast_matches_generic(lst):
         assert list(_moves(p, out)) == [(op, v, len(snap)) for op, v, snap in generic[1]]
 
 
+def _farthest_scan(pi, sigma):
+    """The first pass under 123 or 321 by the bottom-to-top cut scan: the
+    cut is the lowest y above x that lies below an earlier value above x."""
+    if sigma == (3, 2, 1):
+        pi = tuple(-v for v in pi)
+    stack, output = [], []
+    for x in pi:
+        y = None  # the cut value
+        high = x  # farthest z-side value so far; none yet
+        for v in stack:
+            if v > x:
+                if v < high:
+                    y = v
+                    break
+                high = v
+        if y is not None:
+            cut = stack.index(y)
+            output.extend(reversed(stack[cut:]))
+            del stack[cut:]
+        stack.append(x)
+    output.extend(reversed(stack))
+    return tuple(-v for v in output) if sigma == (3, 2, 1) else tuple(output)
+
+
+@pytest.mark.parametrize("sigma", [(1, 2, 3), (3, 2, 1)], ids=["123", "321"])
+def test_farthest_pass_matches_the_cut_scan(sigma):
+    # the pass that pops from the top while q > x against the scan it replaced
+    for n in range(9):
+        for p in permutations(range(1, n + 1)):
+            assert s_sigma(p, sigma) == _farthest_scan(p, sigma), p
+    rng = random.Random(123321)
+    for _ in range(300):
+        n = rng.randint(1, 300)
+        p = tuple(rng.sample(range(1, n + 1), n))
+        assert s_sigma(p, sigma) == _farthest_scan(p, sigma), p
+    for p in (tuple(range(1, 301)), tuple(range(300, 0, -1))):
+        assert s_sigma(p, sigma) == _farthest_scan(p, sigma)
+
+
 def test_stack_shape_on_sortables():
     assert stack_shape_check((2, 4, 1, 3))
     with pytest.raises(InvalidInputError):
