@@ -26,7 +26,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import InsertRejected, InvalidInputError, check_size
 from .machine import DEFAULT_PERM_CAP, is_sigma_sortable
-from .perms import Perm, _contains_231, as_perm, ltr_minima
+from .perms import Perm, _contains_231, as_perm, ltr_minima, spell
 
 
 class GridDecomposition(NamedTuple):
@@ -48,8 +48,13 @@ class GridDecomposition(NamedTuple):
     def describe(self) -> list[str]:
         """One line per horizontal strip, nonempty cells delimited."""
         parts: list[list[str]] = [[] for _ in range(self.k)]
-        for (i, j), c in sorted(self.cells.items()):
-            parts[i - 1].append(f"C({i},{j})=" + ",".join([str(v) for v in c]))
+        cells = sorted(self.cells.items())
+        # one spell call for every cell, whose letters average under two
+        texts = spell([v for _, c in cells for v in c])
+        at = 0
+        for (i, j), c in cells:
+            parts[i - 1].append(f"C({i},{j})=" + ",".join(texts[at : at + len(c)]))
+            at += len(c)
         mv = self.minima_values
         lines = []
         for i, row in enumerate(parts, 1):

@@ -55,6 +55,7 @@ from .perms import (
     avoids,
     contains_mesh,
     first_occurrence,
+    letter_texts,
     reverse,
     standardize,
 )
@@ -106,8 +107,8 @@ class MachineTrace(NamedTuple):
 
     def as_lines(self) -> list[str]:
         """One text line per event, each stack text built from the one below it."""
-        name = list(map(str, range(len(self.output) + 1)))  # name[v] == str(v)
-        texts = ["(empty)"] * len(name)  # texts[d]: the stack of depth d, top first
+        name = letter_texts(len(self.output))  # name[v] == str(v)
+        texts = ["(empty)"] * (len(self.output) + 1)  # texts[d]: the stack of depth d, top first
         lines = []
         for op, v, d in _moves(self.perm, self.output):
             if op == "PUSH":

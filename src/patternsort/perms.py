@@ -15,13 +15,24 @@ the generator computed, never from pattern or host letters; it is
 compiled with ``exec`` on first use and cached.  :func:`first_occurrence`
 returns the kernel's lex-least occurrence, and the pattern-specific scans
 at the end of this module are checked against it.
+
+Integer words are read and printed through one letter table: the text of
+every plain int 0..255 and, for 1..255, its inverse.  :func:`parse_word`
+looks each token up in the inverse, and :func:`spell` (behind
+``format_perm``, ``rgf.format_rgf`` and ``GridDecomposition.describe``)
+and :func:`letter_texts` (behind the first-stack text trace) spell
+letters through the table.  Every other letter takes ``int()`` or
+``str()`` as before: letters past 255, other spellings (``05``, ``+5``,
+``1_0``, non-ASCII digits), bools, negative ints, floats and int
+subclasses.  So the table changes no output and no error, only the time
+they take.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidInputError
 
@@ -48,6 +59,32 @@ def as_perm(w: Iterable[int]) -> Perm:
     return t
 
 
+# the letter table: str(v) for every plain int v below _TABLE_SIZE, and its
+# inverse on the positive ones, so that a token the inverse knows is a
+# letter >= 1
+_TABLE_SIZE = 256
+_TEXT = {v: str(v) for v in range(_TABLE_SIZE)}
+_VALUE = {t: v for v, t in _TEXT.items() if v}
+
+
+def letter_texts(top: int) -> Mapping[int, str]:
+    """A map from v to str(v) for every v in 0..top: the letter table when it reaches top."""
+    return _TEXT if top < _TABLE_SIZE else {v: str(v) for v in range(top + 1)}
+
+
+def spell(word: Iterable[int]) -> list[str]:
+    """``list(map(str, word))``, through the letter table when every letter is in it."""
+    t = tuple(word)
+    # plain ints only: a bool, a float or an int subclass would find the
+    # text of the int it equals
+    if list(map(type, t)).count(int) == len(t):
+        try:
+            return [_TEXT[v] for v in t]
+        except KeyError:  # a letter past the table, or a negative one
+            pass
+    return list(map(str, t))
+
+
 def parse_word(text: str) -> tuple[int, ...]:
     """Read a word of positive integers from text.
 
@@ -57,12 +94,16 @@ def parse_word(text: str) -> tuple[int, ...]:
     raises InvalidInputError.
     """
     s = text.strip()
-    if "," in s or any(c.isspace() for c in s):
-        parts = s.replace(",", " ").split()
-    else:
+    parts = s.replace(",", " ").split()
+    # s is stripped, so whitespace in it splits it in two or more parts
+    if len(parts) == 1 and "," not in s:
         parts = s
     if not parts:
         raise InvalidInputError(f"no letter in {text!r}")
+    try:
+        return tuple([_VALUE[t] for t in parts])
+    except KeyError:  # some token is spelled otherwise: int() reads the word
+        pass
     try:
         word = tuple(map(int, parts))
     except ValueError as exc:
@@ -78,7 +119,7 @@ def parse_perm(text: str) -> Perm:
 
 
 def format_perm(p: Perm) -> str:
-    return " ".join(map(str, p))
+    return " ".join(spell(p))
 
 
 def standardize(vals: Iterable[int]) -> Perm:

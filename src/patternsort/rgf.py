@@ -18,7 +18,7 @@ import itertools
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidInputError, check_size
-from .perms import first_occurrence
+from .perms import first_occurrence, spell
 
 Rgf = tuple[int, ...]
 
@@ -52,9 +52,7 @@ def validate(seq: Iterable[int]) -> Rgf:
 
 
 def format_rgf(word: Sequence[int]) -> str:
-    if word and max(word) > 9:
-        return " ".join(map(str, word))
-    return "".join(map(str, word))
+    return (" " if word and max(word) > 9 else "").join(spell(word))
 
 
 def rgf_contains(word: Sequence[int], pattern: Sequence[int]) -> bool:

@@ -4,12 +4,12 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from patternsort.bijections import av321_to_rgf, sortable_to_rgf
 from patternsort.checks import _REGISTRY
 from patternsort.errors import InvalidInputError
-from patternsort.grid import _is_colayered_word, active_cells, decompose
+from patternsort.grid import GridDecomposition, _is_colayered_word, active_cells, decompose
 from patternsort.perms import (
     MU,
     MeshPattern,
@@ -27,10 +27,11 @@ from patternsort.perms import (
     parse_word,
     reverse,
     standardize,
+    _TABLE_SIZE,
     _contains_231,
     _kernel,
 )
-from patternsort.rgf import all_words_standardized, enumerate_rgfs
+from patternsort.rgf import all_words_standardized, enumerate_rgfs, format_rgf
 
 # every pattern of length at most 4, ties included
 SHORT_PATTERNS = [p for k in range(1, 5) for p in all_words_standardized(k)]
@@ -76,6 +77,93 @@ def test_parse_word():
     for text in ("", " ", ",", " , ", "\t,\t", "1 2 x", "1a", "1.5", "0", "1 -2", "10"):
         with pytest.raises(InvalidInputError):
             parse_word(text)
+
+
+def _parse_word_by_int(text):
+    # the reference reader: every token through int(), no letter table
+    s = text.strip()
+    parts = s.replace(",", " ").split() if "," in s or any(c.isspace() for c in s) else s
+    if not parts:
+        raise InvalidInputError(f"no letter in {text!r}")
+    try:
+        word = tuple(map(int, parts))
+    except ValueError as exc:
+        raise InvalidInputError(f"cannot parse word {text!r}") from exc
+    if min(word) < 1:
+        raise InvalidInputError(f"word letters must be positive: {text!r}")
+    return word
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except InvalidInputError as exc:
+        return type(exc.__cause__), str(exc)
+
+
+_TOP = _TABLE_SIZE - 1  # the largest letter the table spells
+_TOKENS = st.sampled_from(
+    ["1", "2", "9", "10", "48", str(_TOP), str(_TOP + 1), str(10**6), "0", "05",
+     "+5", "1_0", "-3", "\u0663", "\uff15", "x", "1.5", "", "312"]
+) | st.integers(1, 2 * _TABLE_SIZE).map(str)
+_SEPARATORS = st.sampled_from([" ", ",", "\t", ", ", " ,", "  ", "\n"])
+
+
+@st.composite
+def _word_texts(draw):
+    if draw(st.booleans()):  # compact digits, some of them not ASCII
+        body = draw(st.text(alphabet="0123456789\u0663\uff15_+", max_size=12))
+    else:
+        tokens = draw(st.lists(_TOKENS, max_size=8))
+        body = "".join(t + draw(_SEPARATORS) for t in tokens[:-1]) + "".join(tokens[-1:])
+    lead = draw(st.sampled_from(["", " ", "\t", ","]))
+    return lead + body + draw(st.sampled_from(["", " ", "\n", ","]))
+
+
+@seed(1)
+@settings(max_examples=600, deadline=None)
+@given(_word_texts())
+def test_parse_word_reads_as_int_does(text):
+    # the letter table reads a token or leaves it to int(): the same word,
+    # or the same error with the same message and cause
+    assert _outcome(parse_word, text) == _outcome(_parse_word_by_int, text), repr(text)
+
+
+def test_parse_word_reads_letters_on_both_sides_of_the_table_top():
+    text = " ".join(map(str, range(1, 2 * _TABLE_SIZE)))
+    assert parse_word(text) == tuple(range(1, 2 * _TABLE_SIZE))
+    assert parse_word(f"{_TOP},{_TOP + 1}") == (_TOP, _TOP + 1)
+    assert parse_word("\u0663 05 +5 1_0 \uff15") == (3, 5, 5, 10, 5)
+
+
+class Shout(int):
+    # an int subclass with its own text, which no table may print
+    def __str__(self):
+        return f"<{int(self)}>"
+
+
+_LETTERS = st.one_of(
+    st.integers(-3, _TABLE_SIZE + 3),
+    st.just(10**6),
+    st.booleans(),
+    st.floats(-4, 300, allow_nan=False),
+    st.integers(0, _TABLE_SIZE + 3).map(Shout),
+    st.sampled_from(list(Letter)),
+)
+
+
+@seed(1)
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_LETTERS, max_size=10), st.lists(st.integers(0, _TABLE_SIZE + 3), max_size=10))
+def test_printing_matches_str(mixed, plain):
+    for w in (mixed, plain):
+        t = tuple(w)
+        assert format_perm(t) == " ".join(map(str, t))
+        assert format_rgf(t) == (" " if t and max(t) > 9 else "").join(map(str, t))
+        cells = {(1, 1): t[:2], (1, 2): t[2:]}  # describe spells every cell at once
+        d = GridDecomposition((), ((1, 1),), ((),), ((),), cells, ())
+        want = " | ".join(f"C(1,{j})=" + ",".join(map(str, c)) for (_, j), c in cells.items())
+        assert d.describe() == [f"row 1 (1..inf): {want}"]
 
 
 def test_parse_perm_forms():
