@@ -21,6 +21,7 @@ read off the list only when asked for.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
 from math import inf
 from typing import Iterable, NamedTuple
 
@@ -47,20 +48,21 @@ class GridDecomposition(NamedTuple):
 
     def describe(self) -> list[str]:
         """One line per horizontal strip, nonempty cells delimited."""
-        parts: list[list[str]] = [[] for _ in range(self.k)]
+        minima = spell([v for _, v in self.minima])
+        parts: list[list[str]] = [[] for _ in minima]
         cells = sorted(self.cells.items())
         # one spell call for every cell, whose letters average under two
         texts = spell([v for _, c in cells for v in c])
         at = 0
         for (i, j), c in cells:
-            parts[i - 1].append(f"C({i},{j})=" + ",".join(texts[at : at + len(c)]))
-            at += len(c)
-        mv = self.minima_values
+            end = at + len(c)
+            parts[i - 1].append(f"C({i},{j})={','.join(texts[at:end])}")
+            at = end
         lines = []
-        for i, row in enumerate(parts, 1):
-            top = "inf" if i == 1 else str(mv[i - 2])
-            span = f"({mv[i - 1]}..{top})"
-            lines.append(f"row {i} {span}: " + (" | ".join(row) or "(no cells)"))
+        top = "inf"
+        for i, (m, row) in enumerate(zip(minima, parts), 1):
+            lines.append(f"row {i} ({m}..{top}): {' | '.join(row) or '(no cells)'}")
+            top = m
         return lines
 
 
@@ -89,26 +91,30 @@ def decompose(pi: Iterable[int]) -> GridDecomposition:
     p = as_perm(pi)
     if not p:
         raise InvalidInputError("cannot decompose the empty permutation")
-    w = strip_word(p)
     minima: list[tuple[int, int]] = []
-    blocks: list[list[int]] = [[] for _ in range(max(w))]
-    hstrips: list[list[int]] = [[] for _ in blocks]
-    cells: dict[tuple[int, int], list[int]] = {}
-    for q, (x, i) in enumerate(zip(p, w), start=1):
-        j = len(minima)  # the block so far, the running maximum of w
-        if i > j:  # a first letter i is the i-th minimum
+    blocks, hstrips = [], []  # lists of values in position order
+    cells: dict[tuple[int, int], list[int]] = {}  # in order of first appearance
+    for q, (x, i) in enumerate(zip(p, strip_word(p)), start=1):
+        if i > len(minima):  # a first letter i is the i-th minimum
             minima.append((q, x))
+            blocks.append(block := [])
+            hstrips.append([])
+            row: dict[int, list[int]] = {}  # the block's cell in each row
             continue
-        blocks[j - 1].append(x)
+        block.append(x)
         hstrips[i - 1].append(x)
-        cells.setdefault((i, j), []).append(x)
+        cell = row.get(i)
+        if cell is None:
+            row[i] = cells[i, len(minima)] = [x]
+        else:
+            cell.append(x)
     return GridDecomposition(
         p,
         tuple(minima),
-        tuple(tuple(b) for b in blocks),
-        tuple(tuple(h) for h in hstrips),
-        {c: tuple(v) for c, v in cells.items()},
-        tuple(x for b in blocks for x in b),  # blocks run in position order
+        tuple(map(tuple, blocks)),
+        tuple(map(tuple, hstrips)),
+        dict(zip(cells, map(tuple, cells.values()))),
+        tuple(chain.from_iterable(blocks)),  # blocks run in position order
     )
 
 

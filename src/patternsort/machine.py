@@ -11,25 +11,25 @@ avoids 231.
 For a control sigma of length 3 no matcher is needed.  Pushing x is
 illegal iff some y sits above some z in the stack with (x, y, z)
 order-isomorphic to sigma; the lowest such y is the cut, and everything
-from the cut upward pops before x enters.  One bottom-to-top scan finds
-the cut, keeping one running statistic of the values seen on z's side
-of x:
+from the cut upward pops before x enters.  Controls whose y lies below x
+run on complemented values (n + 1 - v), which puts y above x.  Reading
+the stack S bottom to top, the cut is then the lowest S[j] > x with some
+S[i], i < j, such that
 
-    sigma   y's side   statistic of the z-side values, cut at
-    132     above x    nearest to x,    a y farther from x than it
-    312     below x    nearest to x,    a y farther from x than it
-    123     above x    farthest from x, a y nearer to x than it
-    321     below x    farthest from x, a y nearer to x than it
-    231     above x    whether any lies below x, a y after one
-    213     below x    whether any lies above x, a y after one
+    sigma   complement   S[i]              the pass
+    132     312          x < S[i] < S[j]   pops from the top while m > x
+    123     321          S[i] > S[j]       pops from the top while q > x
+    231     213          S[i] < x          scans bottom to top per push
 
-Controls whose y lies below x run on complemented values (n + 1 - v),
-which puts y above x and keeps the statistic.  The farthest rule needs
-no scan: its cut is the lowest level j with x < S[j] < max S[:j], so
-the levels that pop are those where the largest value below an earlier
-one, at or under the level, exceeds x (`_farthest_output`).  The generic
-machine (`_generic_output`) serves longer controls and is the reference
-the cut scan is cross-checked against; Stacksort serves 21.
+For 132 level j is cut iff P(j) > x, P(j) being the largest value under
+level j smaller than S[j]; for 123 iff Q(j) > x, Q(j) being S[j] if a
+value under level j exceeds it and 0 if none does.  Both are fixed when
+level j is pushed, so their running maxima m and q never decrease
+upward: the levels that pop are the top ones, each value pops once
+(`_nearest_output`, `_farthest_output`), and a bit set of the stack's
+values gives a new top's P.  The generic machine (`_generic_output`)
+serves longer controls and is the reference the passes are
+cross-checked against; Stacksort serves 21.
 
 A pass is fixed by its input and its output, so a trace (`MachineTrace`)
 holds just those two and the fast passes record nothing: the top of the
@@ -169,61 +169,38 @@ def _moves(pi: Perm, out: Perm) -> Iterator[tuple[str, int, int]]:
         yield "POP", v, d
 
 
-# The cut rule of each length-3 control (see the module docstring).
-_NEAREST, _FARTHEST, _ANY = range(3)
-_CUT_RULES: dict[Perm, tuple[bool, int]] = {
-    # sigma: (y below x, statistic of z-side values)
-    (1, 3, 2): (False, _NEAREST),
-    (3, 1, 2): (True, _NEAREST),
-    (1, 2, 3): (False, _FARTHEST),
-    (3, 2, 1): (True, _FARTHEST),
-    (2, 3, 1): (False, _ANY),
-    (2, 1, 3): (True, _ANY),
-}
-
-
 def _cut_pass(pi: Perm, sigma: Perm) -> Perm:
-    """First-pass output under a length-3 control, without backtracking.
-
-    Each push scans the stack bottom to top for the cut (see the module
-    docstring); the farthest rule pops from the top instead.
-    """
-    flip, stat = _CUT_RULES[sigma]
+    """First-pass output under a length-3 control; a flipped one runs on the complement."""
+    flip, rule = _CUT_RULES[sigma]
+    if not flip:
+        return tuple(rule(pi))
     above_all = len(pi) + 1
-    if flip:
-        pi = tuple(map(above_all.__sub__, pi))
-    if stat == _FARTHEST:
-        output = _farthest_output(pi)
-        return tuple(map(above_all.__sub__, output)) if flip else tuple(output)
-    stack: list[int] = []  # bottom to top
-    output = []
+    return tuple(map(above_all.__sub__, rule(tuple(map(above_all.__sub__, pi)))))
+
+
+def _nearest_output(pi: Perm) -> list[int]:
+    """The 132 pass.  m[d] is the largest S[i] < S[j] with i < j <= d, 0
+    when none; a bit set of the stack's values gives each new top's
+    largest smaller value."""
+    stack, ms = [0] * (len(pi) + 1), [0] * (len(pi) + 1)
+    output: list[int] = []
+    d = m = 0  # the depth, and m of the top level
+    held = 1  # bit v for each value v on the stack, and bit 0
     for x in pi:
-        y = None  # the cut value
-        if stat == _NEAREST:
-            low = above_all  # nearest z-side value so far; none yet
-            for v in stack:
-                if v > x:
-                    if v > low:
-                        y = v
-                        break
-                    low = v
-        else:
-            seen = False  # some z-side value so far
-            for v in stack:
-                if v < x:
-                    seen = True
-                elif seen:
-                    y = v
-                    break
-        if y is not None:
-            cut = stack.index(y)
-            output.extend(reversed(stack[cut:]))
-            del stack[cut:]
-        stack.append(x)
-    output.extend(reversed(stack))
-    if flip:
-        return tuple(map(above_all.__sub__, output))
-    return tuple(output)
+        while m > x:
+            output.append(v := stack[d])
+            held ^= 1 << v
+            d -= 1
+            m = ms[d]
+        bit = 1 << x
+        below = (held & (bit - 1)).bit_length() - 1
+        if below > m:
+            m = below
+        held |= bit
+        d += 1
+        stack[d], ms[d] = x, m
+    output.extend(stack[d:0:-1])
+    return output
 
 
 def _farthest_output(pi: Perm) -> list[int]:
@@ -246,6 +223,36 @@ def _farthest_output(pi: Perm) -> list[int]:
         stack[d], qs[d], hs[d] = x, q, h
     output.extend(stack[d:0:-1])
     return output
+
+
+def _any_output(pi: Perm) -> list[int]:
+    """The 231 pass, by one bottom-to-top scan of the stack per push."""
+    stack: list[int] = []  # bottom to top
+    output: list[int] = []
+    for x in pi:
+        seen = False  # some value below x so far
+        for v in stack:
+            if v < x:
+                seen = True
+            elif seen:
+                cut = stack.index(v)
+                output.extend(reversed(stack[cut:]))
+                del stack[cut:]
+                break
+        stack.append(x)
+    output.extend(reversed(stack))
+    return output
+
+
+# sigma: (y below x, the pass once y is above x); see the module docstring
+_CUT_RULES = {
+    (1, 3, 2): (False, _nearest_output),
+    (3, 1, 2): (True, _nearest_output),
+    (1, 2, 3): (False, _farthest_output),
+    (3, 2, 1): (True, _farthest_output),
+    (2, 3, 1): (False, _any_output),
+    (2, 1, 3): (True, _any_output),
+}
 
 
 def _s21_output(pi: Perm) -> Perm:

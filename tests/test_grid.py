@@ -5,6 +5,7 @@ import pytest
 from patternsort.bijections import rgf_to_sortable, sortable_to_rgf
 from patternsort.errors import InsertRejected, InvalidInputError
 from patternsort.grid import (
+    GridDecomposition,
     GrowthState,
     StructuralReport,
     active_cells,
@@ -68,6 +69,64 @@ def test_reconstruction():
                 rebuilt.append(val)
                 rebuilt.extend(block)
             assert tuple(rebuilt) == p, p
+
+
+def _decompose_reference(p):
+    """decompose as one loop over the strip word, a setdefault per entry."""
+    w = strip_word(p)
+    minima = []
+    blocks = [[] for _ in range(max(w))]
+    hstrips = [[] for _ in blocks]
+    cells = {}
+    for q, (x, i) in enumerate(zip(p, w), start=1):
+        j = len(minima)
+        if i > j:
+            minima.append((q, x))
+            continue
+        blocks[j - 1].append(x)
+        hstrips[i - 1].append(x)
+        cells.setdefault((i, j), []).append(x)
+    return GridDecomposition(
+        p,
+        tuple(minima),
+        tuple(tuple(b) for b in blocks),
+        tuple(tuple(h) for h in hstrips),
+        {c: tuple(v) for c, v in cells.items()},
+        tuple(x for b in blocks for x in b),
+    )
+
+
+def _describe_reference(d):
+    parts = [[] for _ in range(d.k)]
+    for (i, j), c in sorted(d.cells.items()):
+        parts[i - 1].append(f"C({i},{j})=" + ",".join(map(str, c)))
+    mv = d.minima_values
+    lines = []
+    for i, row in enumerate(parts, 1):
+        top = "inf" if i == 1 else str(mv[i - 2])
+        lines.append(f"row {i} ({mv[i - 1]}..{top}): " + (" | ".join(row) or "(no cells)"))
+    return lines
+
+
+def test_decompose_matches_the_reference():
+    rng = random.Random(48300)
+    perms = [p for n in range(1, 8) for p in all_perms(n)]
+    perms += [tuple(rng.sample(range(1, n + 1), n)) for n in (48, 300) for _ in range(30)]
+    for n in (48, 300):  # sortables, whose cells are fuller
+        s = GrowthState()
+        for _ in range(n):
+            _, s = rng.choice(s.children())
+        perms.append(s.perm)
+    # letters past 255, in many cells
+    perms.append(tuple(v for b in range(40, 0, -1) for v in range(8 * b - 7, 8 * b + 1)))
+    for p in perms:
+        d, ref = decompose(p), _decompose_reference(p)
+        assert d == ref, p
+        assert list(d.cells) == list(ref.cells), p  # first appearance
+        assert d.describe() == _describe_reference(ref), p
+        # describe reads cells in (row, column) order, whatever the dict's order
+        shuffled = d._replace(cells=dict(reversed(d.cells.items())))
+        assert shuffled.describe() == _describe_reference(ref), p
 
 
 def test_structural_check_examples():

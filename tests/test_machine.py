@@ -2,6 +2,7 @@ import random
 import re
 from functools import partial
 from itertools import permutations
+from math import inf
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -194,6 +195,31 @@ def test_fast_matches_generic(lst):
         assert list(_moves(p, out)) == [(op, v, len(snap)) for op, v, snap in generic[1]]
 
 
+def _nearest_scan(pi, sigma):
+    """The first pass under 132 or 312 by the bottom-to-top cut scan: the
+    cut is the lowest y above x that lies farther from x than the nearest
+    earlier value above x."""
+    if sigma == (3, 1, 2):
+        pi = tuple(-v for v in pi)
+    stack, output = [], []
+    for x in pi:
+        y = None  # the cut value
+        low = inf  # nearest z-side value so far; none yet
+        for v in stack:
+            if v > x:
+                if v > low:
+                    y = v
+                    break
+                low = v
+        if y is not None:
+            cut = stack.index(y)
+            output.extend(reversed(stack[cut:]))
+            del stack[cut:]
+        stack.append(x)
+    output.extend(reversed(stack))
+    return tuple(-v for v in output) if sigma == (3, 1, 2) else tuple(output)
+
+
 def _farthest_scan(pi, sigma):
     """The first pass under 123 or 321 by the bottom-to-top cut scan: the
     cut is the lowest y above x that lies below an earlier value above x."""
@@ -218,19 +244,30 @@ def _farthest_scan(pi, sigma):
     return tuple(-v for v in output) if sigma == (3, 2, 1) else tuple(output)
 
 
-@pytest.mark.parametrize("sigma", [(1, 2, 3), (3, 2, 1)], ids=["123", "321"])
-def test_farthest_pass_matches_the_cut_scan(sigma):
-    # the pass that pops from the top while q > x against the scan it replaced
+def _check_against_scan(sigma, scan):
     for n in range(9):
         for p in permutations(range(1, n + 1)):
-            assert s_sigma(p, sigma) == _farthest_scan(p, sigma), p
+            assert s_sigma(p, sigma) == scan(p, sigma), p
     rng = random.Random(123321)
     for _ in range(300):
         n = rng.randint(1, 300)
         p = tuple(rng.sample(range(1, n + 1), n))
-        assert s_sigma(p, sigma) == _farthest_scan(p, sigma), p
-    for p in (tuple(range(1, 301)), tuple(range(300, 0, -1))):
-        assert s_sigma(p, sigma) == _farthest_scan(p, sigma)
+        assert s_sigma(p, sigma) == scan(p, sigma), p
+    ident = tuple(range(1, 301))
+    for p in (ident, ident[::-1], ident[:150] + ident[:149:-1]):
+        assert s_sigma(p, sigma) == scan(p, sigma), p
+
+
+@pytest.mark.parametrize("sigma", [(1, 3, 2), (3, 1, 2)], ids=["132", "312"])
+def test_nearest_pass_matches_the_cut_scan(sigma):
+    # the pass that pops from the top while m > x against the scan it replaced
+    _check_against_scan(sigma, _nearest_scan)
+
+
+@pytest.mark.parametrize("sigma", [(1, 2, 3), (3, 2, 1)], ids=["123", "321"])
+def test_farthest_pass_matches_the_cut_scan(sigma):
+    # the pass that pops from the top while q > x against the scan it replaced
+    _check_against_scan(sigma, _farthest_scan)
 
 
 def test_stack_shape_on_sortables():
