@@ -269,6 +269,21 @@ def _fast_matches_generic(case: tuple[Perm, Perm]) -> bool:
     ]
 
 
+def _perm_scans_match_kernel(p: Perm) -> bool:
+    # 2314 and MU against the kernel called directly, since
+    # contains_classical and contains_mesh route those two to their scans
+    mu = perms.MU
+    return (
+        perms._contains_231(p), perms._contains_321(p),
+        perms._contains_2314(p), perms._contains_mu(p),
+    ) == (
+        perms.contains_classical(p, (2, 3, 1)),
+        perms.contains_classical(p, (3, 2, 1)),
+        perms.first_occurrence(p, (2, 3, 1, 4)) is not None,
+        perms._kernel(mu.tau, False, False, mu.shaded)(p) is not None,
+    )
+
+
 def _strip_word_on_minima(p: Perm) -> bool:
     # decompose opens a block at each first letter of the strip word and
     # appends every other entry to the current block, the running maximum.
@@ -451,9 +466,7 @@ _REGISTRY: tuple[Check, ...] = (
           _every(_sortable, lambda p: machine.stack_shape_check(p))),
     Check("machine-perm-fast-patterns", "machine", 8,
           "specialized pattern scans match the generic matcher, n <= {bound}",
-          _every(_perms, lambda p: (perms._contains_231(p), perms._contains_321(p))
-                 == (perms.contains_classical(p, (2, 3, 1)),
-                     perms.contains_classical(p, (3, 2, 1))))),
+          _every(_perms, _perm_scans_match_kernel)),
     # -- grid scope ----------------------------------------------------------
     Check("grid-reconstruction", "grid", 9,
           "the strip word is an RGF whose first letters are the minima, n <= {bound}",

@@ -392,7 +392,11 @@ def verify_characterizations(
     """Check the sortable set against its predicted description at length n.
 
     For control 132 the prediction is the two-element basis (one classical,
-    one mesh).  Otherwise, when swapping the first two control entries
+    one mesh), tested through ``avoids`` and ``contains_mesh``, which answer
+    2314 and ``MU`` with the dedicated scans of :mod:`patternsort.perms`;
+    the registry checks those scans against the matcher kernel, so this
+    check and that one together tie the machine to the kernel's reading
+    of the basis.  Otherwise, when swapping the first two control entries
     yields something containing 231, the sortable set must be the class
     avoiding 132 and the reversed control; when it does not, the sortable
     set is not closed under containment and a witness pair is produced.

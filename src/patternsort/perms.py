@@ -7,14 +7,18 @@ refine this by forbidding host entries inside shaded boxes of the pattern's
 plot; see :class:`MeshPattern`.  Every generic containment test in the
 package, including the tie-aware one on words in :mod:`patternsort.rgf`
 and mesh containment, goes through one matcher kernel per
-(pattern, head, tail, shaded boxes).  The kernel is Python source with one
+(pattern, head, tail, shaded boxes), except the paper's basis:
+:func:`contains_classical` (and so :func:`avoids`) answers 2314 with
+``_contains_2314`` and :func:`contains_mesh` answers :data:`MU` with
+``_contains_mu``, scans that give the kernel's answer on every word of
+ints.  The kernel is Python source with one
 nested ``for`` loop per pattern letter: each level tests its letter's
 order relations as plain comparisons, and each shaded box at the first
 level that fixes its four sides.  The source is built only from indices
 the generator computed, never from pattern or host letters; it is
 compiled with ``exec`` on first use and cached.  :func:`first_occurrence`
 returns the kernel's lex-least occurrence, and the pattern-specific scans
-at the end of this module are checked against it.
+at the end of this module are checked against the kernel.
 
 Integer words are read and printed through one letter table: the text of
 every plain int 0..255 and, for 1..255, its inverse.  :func:`parse_word`
@@ -31,6 +35,7 @@ they take.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -283,6 +288,8 @@ def first_occurrence(
 
 
 def contains_classical(w: Perm, pattern: Perm) -> bool:
+    if tuple(pattern) == (2, 3, 1, 4):
+        return _contains_2314(w)
     return first_occurrence(w, pattern) is not None
 
 
@@ -335,6 +342,8 @@ def contains_mesh(w: Perm, mp: MeshPattern) -> bool:
             raise InvalidInputError(
                 f"shaded box must be a pair of ints in 0..{k}: {box!r}"
             )
+    if tau == MU.tau and shaded == MU.shaded:
+        return _contains_mu(w)
     return _kernel(tau, False, False, shaded)(w) is not None
 
 
@@ -367,7 +376,7 @@ def all_perms(n: int) -> Iterator[Perm]:
 
 # fast containment tests for fixed patterns on hot paths; a scan stays only
 # while it beats the compiled kernel for its pattern, and each is
-# cross-tested against contains_classical
+# cross-tested against the kernel
 
 
 def _contains_321(w: Sequence[int]) -> bool:
@@ -398,3 +407,100 @@ def _contains_231(w: Perm) -> bool:
         stack.append(v)
     return False
 
+
+def _contains_2314(w: Sequence[int]) -> bool:
+    """Classical 2314 on any word of ints, in O(n^2).
+
+    One pass per candidate 2 at a: mb is the least letter above w[a] seen
+    so far (a 3), and g is mb as it stood at the last letter below w[a]
+    (a 1 after that 3), so a later letter above g is a 4.
+    """
+    for a in range(len(w) - 3):
+        va = w[a]
+        mb = g = None
+        for v in w[a + 1:]:
+            if g is not None and v > g:
+                return True
+            if v > va:
+                if mb is None or v < mb:
+                    mb = v
+            elif v < va and mb is not None:
+                g = mb
+    return False
+
+
+def _contains_mu(w: Sequence[int]) -> bool:
+    """Mesh containment of MU on any word of ints, in O(n log n) on distinct positive letters.
+
+    On such a word an occurrence ends at x exactly when x has an earlier
+    smaller letter, x pops some letter off an increasing stack, and v1,
+    the last letter popped (the least letter between x and its nearest
+    earlier smaller one), is below the least left-to-right minimum above
+    x, if there is one: that minimum is the least letter before the first
+    letter below x, which plays the 1.  Other words go to
+    :func:`_contains_mu_word`.
+    """
+    if len(w) < 3:
+        return False
+    if len(set(w)) != len(w) or min(w) < 1:
+        return _contains_mu_word(w)
+    stack = [0]  # 0 lies below every letter
+    neg: list[int] = []  # left-to-right minima, negated, so ascending
+    for x in w:
+        v1 = 0
+        while stack[-1] > x:
+            v1 = stack.pop()
+        if not stack[-1]:
+            neg.append(-x)
+        elif v1:
+            i = bisect_left(neg, -x)  # the minima above x are neg[:i]
+            if not i or -neg[i - 1] > v1:
+                return True
+        stack.append(x)
+    return False
+
+
+def _contains_mu_word(w: Sequence[int]) -> bool:
+    """Mesh containment of MU on a word with repeated letters, 0 or negatives, in O(n^2).
+
+    An occurrence (i0, i1, i2) has w[i0] < x = w[i2] < w[i1], no letter in
+    (x, w[i1]) before i0, and, in the window between i1 and i2, no letter
+    in (0, w[i0]) or (w[i0], x): the box below w[i0] ends at the sentinel
+    0, not at the least letter.  Walking i1 leftwards from i2 grows the
+    window, and the values c that w[i0] may take shrink: [lo, x) while
+    the window's letters below x are all at most 0 (lo the largest of
+    them), then only c = q once a positive letter q < x enters it, then
+    none once a second one does.  The best i0 is the first position whose
+    letter c may take, since a shorter prefix forbids less.
+    """
+    first: dict[int, int] = {}
+    for p, v in enumerate(w):
+        first.setdefault(v, p)
+    for k in range(2, len(w)):
+        x = w[k]
+        above: list[int | None] = [None]  # least letter above x in w[:p]
+        for v in w[:k]:
+            m = above[-1]
+            above.append(v if v > x and (m is None or v < m) else m)
+        lo = q = None
+        p = 0  # first position with a letter in [lo, x), while q is None
+        for i1 in range(k - 1, 0, -1):
+            y = w[i1]
+            if y > x:
+                if q is None:
+                    while p < i1 and not (w[p] < x and (lo is None or w[p] >= lo)):
+                        p += 1
+                    i0 = p
+                else:
+                    i0 = first[q]
+                if i0 < i1 and (above[i0] is None or above[i0] >= y):
+                    return True
+            elif y < x:
+                if q is None:
+                    if y > 0:
+                        q = y
+                    elif lo is None or y > lo:
+                        lo = y
+                elif y != q and y > 0:
+                    break
+    return False

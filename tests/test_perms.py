@@ -1,11 +1,13 @@
 import random
 from enum import IntEnum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from patternsort import perms
 from patternsort.bijections import av321_to_rgf, sortable_to_rgf
 from patternsort.checks import _REGISTRY
 from patternsort.errors import InvalidInputError
@@ -29,6 +31,8 @@ from patternsort.perms import (
     standardize,
     _TABLE_SIZE,
     _contains_231,
+    _contains_2314,
+    _contains_mu,
     _kernel,
 )
 from patternsort.rgf import all_words_standardized, enumerate_rgfs, format_rgf
@@ -257,15 +261,18 @@ def test_mesh_kernel_matches_bruteforce():
         k = len(tau)
         boxes = {(rng.randint(0, k), rng.randint(0, k)) for _ in range(rng.randint(0, 5))}
         meshes.append(MeshPattern(tau, frozenset(boxes)))
-    # MU, the shaded 132 of the characterization, also on all of S_7
+    # MU, the shaded 132 of the characterization, also on all of S_7 and
+    # S_8, where contains_mesh answers it with its own scan
     cases = [(w, mp) for n in range(7) for w in all_perms(n) for mp in meshes]
-    cases += [(w, MU) for w in all_perms(7)]
+    cases += [(w, MU) for n in (7, 8) for w in all_perms(n)]
+    # the same few hundred letter tuples recur across hosts
+    shape = lru_cache(maxsize=None)(standardize)
     for w, mp in cases:
         want = next(
             (
                 occ
                 for occ in combinations(range(len(w)), len(mp.tau))
-                if standardize(w[q] for q in occ) == mp.tau
+                if shape(tuple(w[q] for q in occ)) == mp.tau
                 and _boxes_empty(w, occ, mp.shaded)
             ),
             None,
@@ -286,6 +293,7 @@ def test_mesh_kernel_matches_bruteforce():
         {"01"},
         [[0, 1]],  # unhashable
         5,  # not a set of boxes
+        {(0, 2), (2, 0), (2, True)},  # equal to MU's shading, which has its own scan
     ],
 )
 def test_mesh_boxes_must_be_int_pairs_in_range(shaded):
@@ -295,6 +303,34 @@ def test_mesh_boxes_must_be_int_pairs_in_range(shaded):
     with pytest.raises(InvalidInputError, match="shaded box"):
         contains_mesh((1, 3, 2), MeshPattern((1, 3, 2), shaded))
     assert _kernel.cache_info().currsize == built
+
+
+# repeated letters, 0 and negatives; and distinct letters with gaps
+_INT_WORDS = st.one_of(
+    st.lists(st.integers(-3, 12), max_size=40),
+    st.lists(st.integers(-3, 60), max_size=40, unique=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_INT_WORDS)
+def test_basis_scans_match_the_kernel_on_words(lst):
+    # the public calls accept any word of ints, so the scans behind them
+    # must answer as the kernel does on every one
+    w = tuple(lst)
+    assert _contains_2314(w) == (first_occurrence(w, (2, 3, 1, 4)) is not None)
+    assert _contains_mu(w) == (_kernel(MU.tau, False, False, MU.shaded)(w) is not None)
+
+
+def test_basis_patterns_route_to_their_scans(monkeypatch):
+    monkeypatch.setattr(perms, "_contains_2314", lambda w: "2314 scan")
+    monkeypatch.setattr(perms, "_contains_mu", lambda w: "mu scan")
+    w = (2, 3, 1, 4)
+    assert contains_classical(w, (2, 3, 1, 4)) == "2314 scan"
+    assert contains_classical(w, [2, 3, 1, 4]) == "2314 scan"
+    assert contains_classical(w, (2, 3, 1)) is True
+    assert contains_mesh(w, MeshPattern([1, 3, 2], {(0, 2), (2, 0), (2, 1)})) == "mu scan"
+    assert contains_mesh((1, 3, 2), MeshPattern((1, 3, 2), frozenset({(0, 2), (2, 0)}))) is True
 
 
 def test_contains_classical_basics():
