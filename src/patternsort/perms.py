@@ -10,7 +10,8 @@ and mesh containment, goes through one matcher kernel per
 (pattern, head, tail, shaded boxes), except the paper's basis:
 :func:`contains_classical` (and so :func:`avoids`) answers 2314 with
 ``_contains_2314`` and :func:`contains_mesh` answers :data:`MU` with
-``_contains_mu``, scans that give the kernel's answer on every word of
+``_contains_mu``, which hands words other than distinct positive letters
+back to the kernel.  Both give the kernel's answer on every word of
 ints.  The kernel is Python source with one
 nested ``for`` loop per pattern letter: each level tests its letter's
 order relations as plain comparisons, and each shaded box at the first
@@ -430,20 +431,20 @@ def _contains_2314(w: Sequence[int]) -> bool:
 
 
 def _contains_mu(w: Sequence[int]) -> bool:
-    """Mesh containment of MU on any word of ints, in O(n log n) on distinct positive letters.
+    """Mesh containment of MU, in O(n log n) on distinct positive letters.
 
     On such a word an occurrence ends at x exactly when x has an earlier
     smaller letter, x pops some letter off an increasing stack, and v1,
     the last letter popped (the least letter between x and its nearest
     earlier smaller one), is below the least left-to-right minimum above
     x, if there is one: that minimum is the least letter before the first
-    letter below x, which plays the 1.  Other words go to
-    :func:`_contains_mu_word`.
+    letter below x, which plays the 1.  A word with a repeated letter or
+    a letter at most 0 goes to the kernel.
     """
     if len(w) < 3:
         return False
     if len(set(w)) != len(w) or min(w) < 1:
-        return _contains_mu_word(w)
+        return _kernel(MU.tau, False, False, MU.shaded)(w) is not None
     stack = [0]  # 0 lies below every letter
     neg: list[int] = []  # left-to-right minima, negated, so ascending
     for x in w:
@@ -459,48 +460,3 @@ def _contains_mu(w: Sequence[int]) -> bool:
         stack.append(x)
     return False
 
-
-def _contains_mu_word(w: Sequence[int]) -> bool:
-    """Mesh containment of MU on a word with repeated letters, 0 or negatives, in O(n^2).
-
-    An occurrence (i0, i1, i2) has w[i0] < x = w[i2] < w[i1], no letter in
-    (x, w[i1]) before i0, and, in the window between i1 and i2, no letter
-    in (0, w[i0]) or (w[i0], x): the box below w[i0] ends at the sentinel
-    0, not at the least letter.  Walking i1 leftwards from i2 grows the
-    window, and the values c that w[i0] may take shrink: [lo, x) while
-    the window's letters below x are all at most 0 (lo the largest of
-    them), then only c = q once a positive letter q < x enters it, then
-    none once a second one does.  The best i0 is the first position whose
-    letter c may take, since a shorter prefix forbids less.
-    """
-    first: dict[int, int] = {}
-    for p, v in enumerate(w):
-        first.setdefault(v, p)
-    for k in range(2, len(w)):
-        x = w[k]
-        above: list[int | None] = [None]  # least letter above x in w[:p]
-        for v in w[:k]:
-            m = above[-1]
-            above.append(v if v > x and (m is None or v < m) else m)
-        lo = q = None
-        p = 0  # first position with a letter in [lo, x), while q is None
-        for i1 in range(k - 1, 0, -1):
-            y = w[i1]
-            if y > x:
-                if q is None:
-                    while p < i1 and not (w[p] < x and (lo is None or w[p] >= lo)):
-                        p += 1
-                    i0 = p
-                else:
-                    i0 = first[q]
-                if i0 < i1 and (above[i0] is None or above[i0] >= y):
-                    return True
-            elif y < x:
-                if q is None:
-                    if y > 0:
-                        q = y
-                    elif lo is None or y > lo:
-                        lo = y
-                elif y != q and y > 0:
-                    break
-    return False

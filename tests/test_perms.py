@@ -305,21 +305,19 @@ def test_mesh_boxes_must_be_int_pairs_in_range(shaded):
     assert _kernel.cache_info().currsize == built
 
 
-# repeated letters, 0 and negatives; and distinct letters with gaps
-_INT_WORDS = st.one_of(
-    st.lists(st.integers(-3, 12), max_size=40),
-    st.lists(st.integers(-3, 60), max_size=40, unique=True),
-)
-
-
 @settings(max_examples=300, deadline=None)
-@given(_INT_WORDS)
-def test_basis_scans_match_the_kernel_on_words(lst):
+@given(
+    st.lists(st.integers(-3, 12), max_size=40),  # repeated letters, 0 and negatives
+    st.lists(st.integers(0, 60), max_size=40, unique=True),  # distinct, with gaps
+)
+def test_basis_scans_match_the_kernel_on_words(word, gapped):
     # the public calls accept any word of ints, so the scans behind them
-    # must answer as the kernel does on every one
-    w = tuple(lst)
-    assert _contains_2314(w) == (first_occurrence(w, (2, 3, 1, 4)) is not None)
-    assert _contains_mu(w) == (_kernel(MU.tau, False, False, MU.shaded)(w) is not None)
+    # must answer as the kernel does on every one; on the first word this
+    # checks that MU's scan hands words with repeats or letters <= 0 to the
+    # kernel, on the second mostly its stack on distinct positive letters
+    for w in (tuple(word), tuple(gapped)):
+        assert _contains_2314(w) == (first_occurrence(w, (2, 3, 1, 4)) is not None)
+        assert _contains_mu(w) == (_kernel(MU.tau, False, False, MU.shaded)(w) is not None)
 
 
 def test_basis_patterns_route_to_their_scans(monkeypatch):
