@@ -458,7 +458,7 @@ _REGISTRY: tuple[Check, ...] = (
     Check("machine-fast-vs-generic", "machine", 7,
           "cut scan and Stacksort agree with the generic machine in output "
           "and trace, all six length-3 controls and 21, n <= {bound}",
-          _every(lambda n: product(perms.all_perms(n), (*permutations((1, 2, 3)), (2, 1))),
+          _every(lambda n: product(perms.all_perms(n), machine._PASSES),
                  _fast_matches_generic,
                  lambda c: f"sigma={_perm(c[1])} on {_perm(c[0])}")),
     Check("machine-stack-shape", "machine", 8,

@@ -20,6 +20,7 @@ S[i], i < j, such that
     132     312          x < S[i] < S[j]   pops from the top while m > x
     123     321          S[i] > S[j]       pops from the top while q > x
     231     213          S[i] < x          scans bottom to top per push
+    21      -            -                 Stacksort: pops the top while it is < x
 
 For 132 level j is cut iff P(j) > x, P(j) being the largest value under
 level j smaller than S[j]; for 123 iff Q(j) > x, Q(j) being S[j] if a
@@ -27,9 +28,10 @@ value under level j exceeds it and 0 if none does.  Both are fixed when
 level j is pushed, so their running maxima m and q never decrease
 upward: the levels that pop are the top ones, each value pops once
 (`_nearest_output`, `_farthest_output`), and a bit set of the stack's
-values gives a new top's P.  The generic machine (`_generic_output`)
-serves longer controls and is the reference the passes are
-cross-checked against; Stacksort serves 21.
+values gives a new top's P.  231 has no such threshold: on the stack
+5 7 1 3 the top pops for an incoming 2 or 6 but not for 4, so
+`_any_output` scans.  `_PASSES` maps each control above to its pass;
+`_generic_output` serves the rest and is the table's reference.
 
 A pass is fixed by its input and its output, so a trace (`MachineTrace`)
 holds just those two and the fast passes record nothing: the top of the
@@ -43,7 +45,7 @@ events and is the reference the replay is cross-checked against.
 from __future__ import annotations
 
 from itertools import combinations, permutations
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import InvalidInputError, check_size
 from .perms import (
@@ -53,6 +55,7 @@ from .perms import (
     all_perms,
     as_perm,
     avoids,
+    complement,
     contains_mesh,
     first_occurrence,
     letter_texts,
@@ -67,11 +70,9 @@ _Event = tuple[str, int, tuple[int, ...]]  # (op, value, snapshot) of one trace 
 
 def _check_sigma(sigma: Iterable[int]) -> Perm:
     s = tuple(sigma)
-    # a plain-int 3-tuple that keys a cut rule, or a plain-int 21, is a permutation;
-    # bools, floats and int subclasses fail the type test and are validated in full
-    if len(s) == 3 and type(s[0]) is type(s[1]) is type(s[2]) is int and s in _CUT_RULES:
-        return s
-    if s == (2, 1) and type(s[0]) is type(s[1]) is int:
+    # a plain-int tuple that keys a fast pass is a permutation; bools, floats, int
+    # subclasses and unhashables fail the type test first and are validated in full
+    if 1 < len(s) < 4 and type(s[0]) is type(s[1]) is type(s[-1]) is int and s in _PASSES:
         return s
     s = as_perm(s)
     if len(s) < 2:
@@ -169,16 +170,7 @@ def _moves(pi: Perm, out: Perm) -> Iterator[tuple[str, int, int]]:
         yield "POP", v, d
 
 
-def _cut_pass(pi: Perm, sigma: Perm) -> Perm:
-    """First-pass output under a length-3 control; a flipped one runs on the complement."""
-    flip, rule = _CUT_RULES[sigma]
-    if not flip:
-        return tuple(rule(pi))
-    above_all = len(pi) + 1
-    return tuple(map(above_all.__sub__, rule(tuple(map(above_all.__sub__, pi)))))
-
-
-def _nearest_output(pi: Perm) -> list[int]:
+def _nearest_output(pi: Perm) -> Perm:
     """The 132 pass.  m[d] is the largest S[i] < S[j] with i < j <= d, 0
     when none; a bit set of the stack's values gives each new top's
     largest smaller value."""
@@ -200,10 +192,10 @@ def _nearest_output(pi: Perm) -> list[int]:
         d += 1
         stack[d], ms[d] = x, m
     output.extend(stack[d:0:-1])
-    return output
+    return tuple(output)
 
 
-def _farthest_output(pi: Perm) -> list[int]:
+def _farthest_output(pi: Perm) -> Perm:
     """The 123 pass.  q[d] is the largest value at levels 1..d that lies
     below an earlier one, h[d] the largest there, both 0 when empty."""
     n = len(pi)
@@ -222,10 +214,10 @@ def _farthest_output(pi: Perm) -> list[int]:
         d += 1
         stack[d], qs[d], hs[d] = x, q, h
     output.extend(stack[d:0:-1])
-    return output
+    return tuple(output)
 
 
-def _any_output(pi: Perm) -> list[int]:
+def _any_output(pi: Perm) -> Perm:
     """The 231 pass, by one bottom-to-top scan of the stack per push."""
     stack: list[int] = []  # bottom to top
     output: list[int] = []
@@ -241,22 +233,10 @@ def _any_output(pi: Perm) -> list[int]:
                 break
         stack.append(x)
     output.extend(reversed(stack))
-    return output
-
-
-# sigma: (y below x, the pass once y is above x); see the module docstring
-_CUT_RULES = {
-    (1, 3, 2): (False, _nearest_output),
-    (3, 1, 2): (True, _nearest_output),
-    (1, 2, 3): (False, _farthest_output),
-    (3, 2, 1): (True, _farthest_output),
-    (2, 3, 1): (False, _any_output),
-    (2, 1, 3): (True, _any_output),
-}
+    return tuple(output)
 
 
 def _s21_output(pi: Perm) -> Perm:
-    # classical Stacksort: the stack stays decreasing bottom to top
     stack: list[int] = []
     output: list[int] = []
     for x in pi:
@@ -265,6 +245,23 @@ def _s21_output(pi: Perm) -> Perm:
         stack.append(x)
     output.extend(reversed(stack))
     return tuple(output)
+
+
+def _complemented(rule: Callable[[Perm], Perm]) -> Callable[[Perm], Perm]:
+    """The pass of the complemented control: ``rule`` on complemented values."""
+    return lambda pi: complement(rule(complement(pi)))
+
+
+# every control with a fast pass, in lexicographic order; see the module docstring
+_PASSES: dict[Perm, Callable[[Perm], Perm]] = {
+    (1, 2, 3): _farthest_output,
+    (1, 3, 2): _nearest_output,
+    (2, 1, 3): _complemented(_any_output),
+    (2, 3, 1): _any_output,
+    (3, 1, 2): _complemented(_nearest_output),
+    (3, 2, 1): _complemented(_farthest_output),
+    (2, 1): _s21_output,
+}
 
 
 def sigma_stack_pass(pi: Iterable[int], sigma: Iterable[int]) -> tuple[Perm, MachineTrace]:
@@ -277,19 +274,16 @@ def sigma_stack_pass(pi: Iterable[int], sigma: Iterable[int]) -> tuple[Perm, Mac
 def s_sigma(pi: Iterable[int], sigma: Iterable[int]) -> Perm:
     """First-pass output of the machine's first stack.
 
-    Length-3 controls run the cut scan, 21 runs Stacksort, and longer
-    controls run the generic machine.
+    A control in `_PASSES` (the six of length 3, and 21) runs its fast
+    pass; every other control runs the generic machine.
     """
     return _pass(as_perm(pi), _check_sigma(sigma))
 
 
 def _pass(p: Perm, s: Perm) -> Perm:
     """``s_sigma`` of a permutation and a control already validated."""
-    if len(s) == 3:
-        return _cut_pass(p, s)
-    if s == (2, 1):
-        return _s21_output(p)
-    return _generic_output(p, s)
+    rule = _PASSES.get(s)
+    return rule(p) if rule else _generic_output(p, s)
 
 
 def stacksort(pi: Iterable[int]) -> Perm:

@@ -15,6 +15,7 @@ a path against it.
 
 from __future__ import annotations
 
+import re
 from typing import Iterator, Sequence
 
 from .errors import InvalidInputError, MalformedInputError, check_size
@@ -27,6 +28,9 @@ MOTZKIN = (("D", True), ("H", False), ("U", False))
 LABELED = (("U", False), ("D", True), ("H0", False), ("H1", False), ("H2", True))
 
 LABELED_STEPS = tuple(t for t, _ in LABELED)
+# every step of either table, longest first so the compact form reads H0 before H
+_TOKENS = dict.fromkeys(sorted({t for t, _ in MOTZKIN + LABELED}, key=lambda t: (-len(t), t)))
+_COMPACT = re.compile("|".join(_TOKENS) + "|.")  # "." takes an unknown character
 
 
 def _fault(steps: Sequence[str], family: Sequence[tuple[str, bool]]) -> str | None:
@@ -65,31 +69,14 @@ def validate_dyck(path: str) -> str:
 
 def parse_steps(text: str) -> tuple[str, ...]:
     """Tokenize "UUDD", "UHD", "H0 H1 U U D" or compact "H0H1UUD" forms."""
-    s = text.strip()
-    if any(c.isspace() for c in s):
-        toks = tuple(s.split())
-        known = {u for u, _ in MOTZKIN + LABELED}
-        for t in toks:
-            if t not in known:
-                raise MalformedInputError(f"unknown step {t!r} in {text!r}")
-        return toks
-    toks = []
-    i = 0
-    while i < len(s):
-        c = s[i]
-        if c in ("U", "D"):
-            toks.append(c)
-            i += 1
-        elif c == "H":
-            if i + 1 < len(s) and s[i + 1] in "012":
-                toks.append("H" + s[i + 1])
-                i += 2
-            else:
-                toks.append("H")
-                i += 1
-        else:
-            raise MalformedInputError(f"unknown step character {c!r} in {text!r}")
-    return tuple(toks)
+    words = text.split()
+    spaced = len(words) > 1  # whitespace inside the text, not only around it
+    toks = tuple(words if spaced else _COMPACT.findall(text.strip()))
+    for t in toks:
+        if t not in _TOKENS:
+            what = "step" if spaced else "step character"
+            raise MalformedInputError(f"unknown {what} {t!r} in {text!r}")
+    return toks
 
 
 def format_steps(steps: Sequence[str]) -> str:

@@ -360,8 +360,7 @@ def ltr_minima(w: Perm) -> list[tuple[int, int]]:
 
 
 def complement(w: Perm) -> Perm:
-    n = len(w)
-    return tuple(n + 1 - v for v in w)
+    return tuple(map((len(w) + 1).__sub__, w))
 
 
 def reverse(w: Perm) -> Perm:

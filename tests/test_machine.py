@@ -11,6 +11,7 @@ from patternsort.errors import InvalidInputError, ResourceLimitError
 from patternsort.grid import GrowthState, generate_sortable
 from patternsort.machine import (
     DEFAULT_PERM_CAP,
+    _PASSES,
     _generic_pass,
     _moves,
     _shape_holds,
@@ -24,7 +25,7 @@ from patternsort.machine import (
     verify_characterizations,
     witness_non_class,
 )
-from patternsort.perms import all_perms, avoids
+from patternsort.perms import all_perms, avoids, standardize
 
 
 def test_s132_known_values():
@@ -150,7 +151,8 @@ def _joined_lines(events):
     ]
 
 
-_TRACE_CONTROLS = [*permutations((1, 2, 3)), (2, 1), (1, 3, 2, 4), (2, 1, 4, 3)]
+# every fast control, and two the generic machine serves
+_TRACE_CONTROLS = [*_PASSES, (1, 3, 2, 4), (2, 1, 4, 3)]
 
 
 @pytest.mark.parametrize("sigma", _TRACE_CONTROLS, ids=lambda s: "".join(map(str, s)))
@@ -193,6 +195,14 @@ def test_fast_matches_generic(lst):
         out, trace = sigma_stack_pass(p, sigma)
         assert (out, trace.events) == generic
         assert list(_moves(p, out)) == [(op, v, len(snap)) for op, v, snap in generic[1]]
+
+
+def test_no_threshold_on_x_decides_the_231_pops():
+    # on the stack 5 7 1 3 the top pops for an incoming 2 or 6 but stays
+    # for 4, so 231 cannot pop from the top while a per-level value exceeds x
+    for last, pops in ((2, True), (6, True), (4, False)):
+        _, events = _generic_pass(standardize((5, 7, 1, 3, last)), (2, 3, 1))
+        assert [op for op, _, _ in events[:5]] == ["PUSH"] * 4 + ["POP" if pops else "PUSH"]
 
 
 def _nearest_scan(pi, sigma):
@@ -307,9 +317,7 @@ def _shape_by_snapshots(p, events):
     return True
 
 
-@pytest.mark.parametrize(
-    "sigma", [*permutations((1, 2, 3)), (2, 1)], ids=lambda s: "".join(map(str, s))
-)
+@pytest.mark.parametrize("sigma", _PASSES, ids=lambda s: "".join(map(str, s)))
 def test_shape_holds_matches_the_snapshot_reading(sigma):
     # passes under other controls, and unsortables, reach the False branch
     verdicts = set()

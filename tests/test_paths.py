@@ -1,3 +1,4 @@
+import random
 import re
 from itertools import accumulate, product
 
@@ -41,6 +42,58 @@ def test_parse_steps():
         parse_steps("UX")
     with pytest.raises(MalformedInputError):
         parse_steps("H3")
+
+
+def _parse_steps_by_loop(text):
+    """The character loop parse_steps used before it read the step tables."""
+    s = text.strip()
+    if any(c.isspace() for c in s):
+        toks = tuple(s.split())
+        known = {"D", "H", "U", "H0", "H1", "H2"}
+        for t in toks:
+            if t not in known:
+                raise MalformedInputError(f"unknown step {t!r} in {text!r}")
+        return toks
+    toks = []
+    i = 0
+    while i < len(s):
+        c = s[i]
+        if c in ("U", "D"):
+            toks.append(c)
+            i += 1
+        elif c == "H":
+            if i + 1 < len(s) and s[i + 1] in "012":
+                toks.append("H" + s[i + 1])
+                i += 2
+            else:
+                toks.append("H")
+                i += 1
+        else:
+            raise MalformedInputError(f"unknown step character {c!r} in {text!r}")
+    return tuple(toks)
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except MalformedInputError as exc:
+        return "error", str(exc)
+
+
+def test_parse_steps_matches_the_character_loop():
+    # every string of length <= 3 over step letters, labels, near misses
+    # and whitespace (an ideographic space too), then seeded longer ones;
+    # results and messages agree
+    alphabet = "UDH0123hXé\u0660 \t\n\u3000"
+    texts = ["".join(t) for n in range(4) for t in product(alphabet, repeat=n)]
+    rng = random.Random(32)
+    texts += ["".join(rng.choices(alphabet, k=rng.randint(4, 12))) for _ in range(20000)]
+    outcomes = set()
+    for text in texts:
+        want = _parsed(_parse_steps_by_loop, text)
+        assert _parsed(parse_steps, text) == want, text
+        outcomes.add(want[:1] == ("error",))
+    assert outcomes == {True, False}
 
 
 def test_format_steps():

@@ -282,6 +282,69 @@ def test_mesh_kernel_matches_bruteforce():
         assert contains_mesh(w, mp) == (want is not None)
 
 
+def _planted(rng, pattern, extra):
+    """A word holding the pattern, letters doubled, among ``extra`` distinct odd letters."""
+    word = [2 * v for v in pattern]
+    for v in rng.sample(range(1, 2 * len(pattern) + 2, 2), extra):
+        word.insert(rng.randint(0, len(word)), v)
+    return tuple(word)
+
+
+def test_long_patterns_match_bruteforce():
+    # past _LOOPS_PER_PART letters a kernel hands its deeper letters to a
+    # second generated function; permutations and words with ties, each in
+    # hosts that hold a planted copy and in random hosts
+    rng = random.Random(17)
+    for k in range(17, 21):
+        for pat in (standardize(rng.sample(range(1, k + 1), k)),
+                    _word_standardize(rng.choices(range(1, 6), k=k))):
+            assert "def _part1(" in perms._kernel_source(pat, False, False, frozenset())
+            hosts = [_planted(rng, pat, extra) for extra in (0, 1, 2, 3, 3)]
+            hosts += [tuple(rng.choices(range(1, max(pat) + 1), k=k + 2)) for _ in range(2)]
+            for w in hosts:
+                n = len(w)
+                occs = [
+                    o for o in combinations(range(n), k)
+                    if _word_standardize([w[q] for q in o]) == pat
+                ]
+                for head in (False, True):
+                    for tail in (False, True):
+                        want = next(
+                            (o for o in occs
+                             if (not head or o[0] == 0) and (not tail or o[-1] == n - 1)),
+                            None,
+                        )
+                        got = first_occurrence(w, pat, head=head, tail=tail)
+                        assert got == want, (w, pat, head, tail)
+
+
+def test_mesh_box_on_a_long_pattern_matches_bruteforce():
+    # box (17, 0), right of the last letter and below the lowest, is tested
+    # at depth 16, in the kernel's second part; a letter 0 put last fills
+    # it for every occurrence, since the pattern does not end in 1
+    rng = random.Random(18)
+    mp = MeshPattern(standardize(rng.sample(range(1, 18), 17)), frozenset({(17, 0)}))
+    assert mp.tau[-1] != 1
+    source = perms._kernel_source(mp.tau, False, False, mp.shaded)
+    assert "_occupied" in source.split("def _part1(")[1]
+    verdicts = set()
+    for i in range(12):
+        w = standardize(_planted(rng, mp.tau, 2) + (0,) * (i % 2))
+        want = next(
+            (
+                occ
+                for occ in combinations(range(len(w)), 17)
+                if standardize(tuple(w[q] for q in occ)) == mp.tau
+                and _boxes_empty(w, occ, mp.shaded)
+            ),
+            None,
+        )
+        assert _kernel(mp.tau, False, False, mp.shaded)(w) == want, w
+        assert contains_mesh(w, mp) == (want is not None)
+        verdicts.add(want is not None)
+    assert verdicts == {True, False}
+
+
 @pytest.mark.parametrize(
     "shaded",
     [
