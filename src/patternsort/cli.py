@@ -42,8 +42,9 @@ from .rgf import format_rgf
 ENV_CAP = "PATTERNSORT_CAP"
 SCHEMA = 1
 
-# the largest --n whose terms print under CPython's 4,300-digit limit on
-# int-to-str; a larger --cap cannot lift it
+# the largest --n whose terms print under CPython's default 4,300-digit
+# limit on int-to-str; a larger --cap cannot lift it, and a lower limit is
+# checked against the terms themselves
 _TABLE_DIGIT_CAPS = {"a007317": 6161, "narayana": 7155}
 
 
@@ -356,6 +357,14 @@ def _table_rows(args) -> tuple[str, list[tuple[int, int]], int]:
         dist = rgf.max_distribution(n, pattern, cap)
         header = "max,count"
         rows = [(k, dist.get(k, 0)) for k in range(1, n + 1)]
+    # a term has more than L digits exactly when it is >= 10**L; L is 0 (no
+    # limit) when set so, and on Python before 3.11
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and max(v for _, v in rows) >= 10**limit:
+        raise ResourceLimitError(
+            f"refusing {kind} table at n={n} (a term has more than {limit} "
+            "digits, the int-to-str limit)"
+        )
     return header, rows, status
 
 

@@ -30,8 +30,8 @@ upward: the levels that pop are the top ones, each value pops once
 (`_nearest_output`, `_farthest_output`), and a bit set of the stack's
 values gives a new top's P.  231 has no such threshold: on the stack
 5 7 1 3 the top pops for an incoming 2 or 6 but not for 4, so
-`_any_output` scans.  `_PASSES` maps each control above to its pass;
-`_generic_output` serves the rest and is the table's reference.
+`_any_output` scans.  `_control` resolves a control once, to its row of
+`_PASSES` or else to `_generic_output`, the table's reference.
 
 A pass is fixed by its input and its output, so a trace (`MachineTrace`)
 holds just those two and the fast passes record nothing: the top of the
@@ -45,6 +45,7 @@ events and is the reference the replay is cross-checked against.
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from operator import length_hint
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import InvalidInputError, check_size
@@ -52,12 +53,12 @@ from .perms import (
     MU,
     Perm,
     _contains_231,
+    _kernel,
     all_perms,
     as_perm,
     avoids,
     complement,
     contains_mesh,
-    first_occurrence,
     letter_texts,
     reverse,
     standardize,
@@ -66,21 +67,6 @@ from .perms import (
 DEFAULT_PERM_CAP = 10
 
 _Event = tuple[str, int, tuple[int, ...]]  # (op, value, snapshot) of one trace event
-
-
-def _check_sigma(sigma: Iterable[int]) -> Perm:
-    s = tuple(sigma)
-    # a plain-int tuple that keys a fast pass is a permutation; bools, floats, int
-    # subclasses and unhashables fail the type test first and are validated in full
-    if 1 < len(s) < 4 and type(s[0]) is type(s[1]) is type(s[-1]) is int and s in _PASSES:
-        return s
-    s = as_perm(s)
-    if len(s) < 2:
-        raise InvalidInputError(
-            "control pattern must have length >= 2 (a shorter one would "
-            "freeze or trivialize the stack)"
-        )
-    return s
 
 
 class MachineTrace(NamedTuple):
@@ -130,12 +116,13 @@ def _generic_pass(pi: Perm, sigma: Perm) -> tuple[Perm, tuple[_Event, ...]]:
 
 def _generic_output(pi: Perm, sigma: Perm, events: list | None = None) -> Perm:
     """The generic machine's output; its events go to ``events`` if given."""
+    match = _kernel(tuple(sigma), True, False, frozenset())  # first_occurrence, head=True
     stack: tuple[int, ...] = ()  # top to bottom
     output: list[int] = []
     for x in pi:
         # the stack already avoids sigma, so a new occurrence must start
         # at the incoming element, which tops the top-to-bottom word
-        while stack and first_occurrence((x,) + stack, sigma, head=True) is not None:
+        while stack and match((x,) + stack) is not None:
             v, stack = stack[0], stack[1:]
             output.append(v)
             if events is not None:
@@ -222,12 +209,12 @@ def _any_output(pi: Perm) -> Perm:
     stack: list[int] = []  # bottom to top
     output: list[int] = []
     for x in pi:
-        seen = False  # some value below x so far
-        for v in stack:
+        for v in (scan := iter(stack)):  # up to the lowest value below x
             if v < x:
-                seen = True
-            elif seen:
-                cut = stack.index(v)
+                break
+        for v in scan:  # on to the cut, the next value above x
+            if v > x:
+                cut = len(stack) - length_hint(scan) - 1  # the index v was read at
                 output.extend(reversed(stack[cut:]))
                 del stack[cut:]
                 break
@@ -264,6 +251,23 @@ _PASSES: dict[Perm, Callable[[Perm], Perm]] = {
 }
 
 
+def _control(sigma: Iterable[int]) -> tuple[Perm, Callable[[Perm], Perm]]:
+    """The validated control and its pass: its `_PASSES` row, else the generic machine."""
+    s = tuple(sigma)
+    # a plain-int tuple that keys a fast pass is a permutation; bools, floats, int
+    # subclasses and unhashables fail the type test first and are validated in full
+    if 1 < len(s) < 4 and type(s[0]) is type(s[1]) is type(s[-1]) is int:
+        if rule := _PASSES.get(s):
+            return s, rule
+    s = as_perm(s)
+    if len(s) < 2:
+        raise InvalidInputError(
+            "control pattern must have length >= 2 (a shorter one would "
+            "freeze or trivialize the stack)"
+        )
+    return s, _PASSES.get(s) or (lambda p: _generic_output(p, s))
+
+
 def sigma_stack_pass(pi: Iterable[int], sigma: Iterable[int]) -> tuple[Perm, MachineTrace]:
     """One traced pass of the machine's first stack."""
     p = tuple(pi)
@@ -274,20 +278,15 @@ def sigma_stack_pass(pi: Iterable[int], sigma: Iterable[int]) -> tuple[Perm, Mac
 def s_sigma(pi: Iterable[int], sigma: Iterable[int]) -> Perm:
     """First-pass output of the machine's first stack.
 
-    A control in `_PASSES` (the six of length 3, and 21) runs its fast
-    pass; every other control runs the generic machine.
+    pi is validated first.  A control in `_PASSES` (the six of length 3,
+    and 21) runs its fast pass; any other runs the generic machine.
     """
-    return _pass(as_perm(pi), _check_sigma(sigma))
-
-
-def _pass(p: Perm, s: Perm) -> Perm:
-    """``s_sigma`` of a permutation and a control already validated."""
-    rule = _PASSES.get(s)
-    return rule(p) if rule else _generic_output(p, s)
+    p = as_perm(pi)
+    return _control(sigma)[1](p)
 
 
 def stacksort(pi: Iterable[int]) -> Perm:
-    return _s21_output(as_perm(pi))
+    return s_sigma(pi, (2, 1))
 
 
 def is_sigma_sortable(pi: Iterable[int], sigma: Iterable[int] = (1, 3, 2)) -> bool:
@@ -299,8 +298,8 @@ def enumerate_sortable(
 ) -> list[Perm]:
     """All sortable permutations of length n, lexicographically sorted."""
     check_size(n, cap, f"enumeration of S_{n}")
-    s = _check_sigma(sigma)
-    return [p for p in permutations(range(1, n + 1)) if not _contains_231(_pass(p, s))]
+    run = _control(sigma)[1]
+    return [p for p in permutations(range(1, n + 1)) if not _contains_231(run(p))]
 
 
 def stack_shape_check(pi: Iterable[int]) -> bool:
@@ -347,7 +346,7 @@ def _shape_holds(p: Perm, out: Perm) -> bool:
 
 def sigma_hat(sigma: Perm) -> Perm:
     """The control pattern with its first two entries swapped."""
-    s = _check_sigma(sigma)
+    s = _control(sigma)[0]
     return (s[1], s[0]) + s[2:]
 
 
@@ -359,15 +358,15 @@ def witness_non_class(sigma: Iterable[int], max_n: int = 6) -> tuple[Perm, Perm]
     when no witness exists up to max_n, as happens when the sortable set
     is closed under containment.
     """
-    s = _check_sigma(sigma)
+    run = _control(sigma)[1]
     for m in range(2, max_n + 1):
         for host in permutations(range(1, m + 1)):
-            if _contains_231(_pass(host, s)):
+            if _contains_231(run(host)):
                 continue
             for plen in range(2, m):
                 for posns in combinations(range(m), plen):
                     pat = standardize(tuple(host[i] for i in posns))
-                    if _contains_231(_pass(pat, s)):
+                    if _contains_231(run(pat)):
                         return host, pat
     return None
 
@@ -397,7 +396,7 @@ def verify_characterizations(
     A prediction is checked by one lexicographic scan of S_n that lists
     every permutation on which it and the machine disagree.
     """
-    s = _check_sigma(sigma)
+    s, run = _control(sigma)
     check_size(n, cap, f"verification at n={n}")
     if s == (1, 3, 2):
         kind, what = "mesh-basis", "avoiders of 2314 and the shaded 132"
@@ -416,5 +415,5 @@ def verify_characterizations(
         detail = "sortable {} contains unsortable {}".format(*w)
         return CharacterizationReport(s, "non-class", True, detail, w)
     # the machine disagrees where "its output contains 231" equals "predicted sortable"
-    bad = tuple(p for p in all_perms(n) if _contains_231(_pass(p, s)) == predicted(p))
+    bad = tuple(p for p in all_perms(n) if _contains_231(run(p)) == predicted(p))
     return CharacterizationReport(s, kind, not bad, f"sortable set vs {what}, n={n}", bad)

@@ -327,6 +327,8 @@ def contains_mesh(w: Perm, mp: MeshPattern) -> bool:
     order.  A shaded box that is not a pair of ints in 0..len(mp.tau) raises
     InvalidInputError.
     """
+    if mp is MU:  # immutable and valid by construction
+        return _contains_mu(w)
     tau = tuple(mp.tau)
     k = len(tau)
     try:

@@ -288,6 +288,28 @@ def test_table_a007317_prints_up_to_the_digit_limit(capsys):
     assert len(out.splitlines()[-1].split()[1]) == 4300
 
 
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="no int-to-str limit before 3.11")
+@pytest.mark.parametrize("kind, top", [("a007317", 923), ("narayana", 1073)])
+@pytest.mark.parametrize("fmt", ["csv", "bfile", "json"])
+def test_table_refuses_terms_past_a_lower_digit_limit(capsys, kind, top, fmt):
+    # at n = top the largest term has 640 digits; one more refuses, before printing
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "table", kind, "--n", str(top), "--format", fmt)
+        assert (code, err) == (0, "") and out
+        for n in (top + 1, 2000):
+            code, out, err = run(capsys, "table", kind, "--n", str(n), "--format", fmt)
+            assert (code, out, err) == (
+                2,
+                "",
+                f"error: refusing {kind} table at n={n} (a term has more than 640 "
+                "digits, the int-to-str limit)\n",
+            )
+    finally:
+        sys.set_int_max_str_digits(default)
+
+
 def test_table_json(capsys):
     code, out, _ = run(capsys, "table", "narayana", "--n", "4", "--format", "json")
     doc = json.loads(out)

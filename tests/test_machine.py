@@ -48,21 +48,22 @@ def test_degenerate_sigma_rejected():
         s_sigma((1, 2), (1,))
 
 
-@pytest.mark.parametrize(
-    "sigma",
-    [
-        (1.0, 3.0, 2.0),
-        (True, 2),
-        (1, 3, 3),
-        (0, 1, 2),
-        (1, [3], 2),
-        ([1], [2]),
-        (True, 3, 2),
-        (1, 3.0, 2),
-        (2, True),
-        (2.0, 1),
-    ],
-)
+# controls equal to a fast one, or unhashable, whose letters are no permutation
+_BAD_CONTROLS = [
+    (1.0, 3.0, 2.0),
+    (True, 2),
+    (1, 3, 3),
+    (0, 1, 2),
+    (1, [3], 2),
+    ([1], [2]),
+    (True, 3, 2),
+    (1, 3.0, 2),
+    (2, True),
+    (2.0, 1),
+]
+
+
+@pytest.mark.parametrize("sigma", _BAD_CONTROLS)
 def test_sigma_validated_after_an_equal_valid_control(sigma):
     # a length-3 control of plain ints that keys a cut rule, and a plain-int
     # 21, skip validation; an equal or unhashable control of other letters
@@ -72,6 +73,25 @@ def test_sigma_validated_after_an_equal_valid_control(sigma):
     assert is_sigma_sortable((1, 2), (2, 1))
     with pytest.raises(InvalidInputError, match="not a permutation of 1..n"):
         is_sigma_sortable((1, 2), sigma)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        partial(s_sigma, (1, 2)),
+        partial(sigma_stack_pass, (1, 2)),
+        partial(is_sigma_sortable, (1, 2)),
+        partial(enumerate_sortable, 3),
+        sigma_hat,
+        witness_non_class,
+        partial(verify_characterizations, 3),
+    ],
+    ids=lambda f: getattr(f, "func", f).__name__,
+)
+@pytest.mark.parametrize("sigma", _BAD_CONTROLS)
+def test_every_entry_validates_its_control(entry, sigma):
+    with pytest.raises(InvalidInputError, match="not a permutation of 1..n"):
+        entry(sigma)
 
 
 # len(enumerate_sortable(n, sigma)) at n = 4..7 for every control of

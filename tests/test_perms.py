@@ -391,6 +391,7 @@ def test_basis_patterns_route_to_their_scans(monkeypatch):
     assert contains_classical(w, [2, 3, 1, 4]) == "2314 scan"
     assert contains_classical(w, (2, 3, 1)) is True
     assert contains_mesh(w, MeshPattern([1, 3, 2], {(0, 2), (2, 0), (2, 1)})) == "mu scan"
+    assert contains_mesh(w, MU) == "mu scan"
     assert contains_mesh((1, 3, 2), MeshPattern((1, 3, 2), frozenset({(0, 2), (2, 0)}))) is True
 
 
