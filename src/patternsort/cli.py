@@ -32,46 +32,131 @@ import functools
 import json
 import os
 import sys
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from . import _SCOPES, bijections, grid, machine, paths, rgf
 from .errors import InvalidInputError, MalformedInputError, ResourceLimitError, check_size
-from .perms import _contains_231, as_perm, format_perm, ltr_minima, parse_perm, parse_word
+from .perms import _contains_231, as_perm, format_perm, ltr_minima, parse_word
 from .rgf import format_rgf
 
 ENV_CAP = "PATTERNSORT_CAP"
 SCHEMA = 1
 
-# the largest --n whose terms print under CPython's default 4,300-digit
-# limit on int-to-str; a larger --cap cannot lift it, and a lower limit is
-# checked against the terms themselves
-_TABLE_DIGIT_CAPS = {"a007317": 6161, "narayana": 7155}
 
-
-def _effective_cap(args: argparse.Namespace, default: int) -> int:
-    if getattr(args, "cap", None) is not None:
-        return args.cap
-    env = os.environ.get(ENV_CAP)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InvalidInputError(f"{ENV_CAP}={env!r} is not an integer") from exc
-    return default
-
-
-def _require(args: argparse.Namespace, flag: str, verb: str) -> str:
-    value = getattr(args, flag.lstrip("-").replace("-", "_"), None)
-    if value is None:
+def _object(args: argparse.Namespace, flag: str, verb: str) -> str:
+    """The text of --perm, --rgf or --path, in every verb that reads one."""
+    text = getattr(args, flag[2:], None)
+    if text is None:
         raise InvalidInputError(f"{verb} requires {flag}")
-    return value
+    if text == "-":  # the object is read from stdin, past the argv size limit
+        text = sys.stdin.read().removesuffix("\n")
+    return text
+
+
+# -- enumerate and table: one row per kind ---------------------------------
+
+# the one kind of each verb that reads --pattern
+_PATTERN_KINDS = {"enumerate": "rgf", "table": "rgf-max"}
+
+
+def _row(args: argparse.Namespace, rows: dict) -> tuple[Any, int]:
+    """The row of args.kind and its cap: --cap, else $PATTERNSORT_CAP, else the
+    row's.  --pattern is refused first on a kind that would ignore it."""
+    reader = _PATTERN_KINDS[args.verb]
+    if args.pattern is not None and args.kind != reader:
+        raise InvalidInputError(f"--pattern applies only to kind {reader}, not {args.kind}")
+    row = rows[args.kind]
+    if args.cap is not None:
+        return row, args.cap
+    env = os.environ.get(ENV_CAP)
+    if env is None:
+        return row, row.cap
+    try:
+        return row, int(env)
+    except ValueError as exc:
+        raise InvalidInputError(f"{ENV_CAP}={env!r} is not an integer") from exc
+
+
+def _sortable(args: argparse.Namespace, cap: int) -> list[tuple[int, ...]]:
+    sigma = parse_word(args.sigma)  # the library validates it, before the cap
+    if sigma == (1, 3, 2):
+        return grid.generate_sortable(args.n, cap)
+    return machine.enumerate_sortable(args.n, sigma, cap)
+
+
+def _rgfs(args: argparse.Namespace, cap: int) -> Iterable[tuple[int, ...]]:
+    if args.pattern is None:
+        return rgf.enumerate_rgfs(args.n, cap)
+    return rgf.enumerate_avoiders(args.n, parse_word(args.pattern), cap)
+
+
+class _Lister(NamedTuple):
+    """One kind of enumerate: its default cap, ``items(args, cap)`` and their kind."""
+
+    cap: int
+    items: Callable[[argparse.Namespace, int], Iterable[Any]]
+    kind: str  # a key of _KINDS, which formats each item
+
+
+_ENUMERATE = {
+    "sortable": _Lister(machine.DEFAULT_PERM_CAP, _sortable, "perm"),
+    "rgf": _Lister(rgf.DEFAULT_RGF_CAP, _rgfs, "rgf"),
+    "dyck": _Lister(paths.DEFAULT_PATH_CAP, lambda a, cap: paths.enumerate_dyck(a.n, cap), "dyck"),
+    "motzkin": _Lister(
+        paths.DEFAULT_PATH_CAP, lambda a, cap: paths.enumerate_motzkin(a.n, cap), "steps"
+    ),
+    "labeled-motzkin": _Lister(
+        paths.DEFAULT_LABELED_CAP, lambda a, cap: paths.enumerate_labeled_motzkin(a.n, cap), "steps"
+    ),
+}
+
+
+def _sequences():
+    from . import sequences  # loaded by table alone
+
+    return sequences
+
+
+def _column(dist: dict[int, int], n: int) -> list[int]:
+    return [dist.get(k, 0) for k in range(1, n + 1)]
+
+
+def _rgf_max(args: argparse.Namespace, cap: int) -> list[int]:
+    pattern = (1, 2, 3, 3, 2) if args.pattern is None else parse_word(args.pattern)
+    return _column(rgf.max_distribution(args.n, pattern, cap), args.n)
+
+
+class _Table(NamedTuple):
+    """One kind of table: its header, default cap, ``values(args, cap)`` at
+    1..n, and the closed form ``closed(n)`` they must equal, if it has one."""
+
+    header: str
+    cap: int
+    values: Callable[[argparse.Namespace, int], list[int]]
+    closed: Callable[[int], list[int]] | None = None
+    digits: bool = False
+
+
+_TABLES = {
+    "sortable-by-minima": _Table(
+        "k,count", machine.DEFAULT_PERM_CAP,
+        lambda a, cap: _column(grid.minima_distribution(a.n, cap), a.n),
+        lambda n: _sequences().max_distribution_row(n),
+    ),
+    "rgf-max": _Table("max,count", rgf.DEFAULT_RGF_CAP, _rgf_max),
+    # a digits cap is the largest n whose terms print under CPython's default
+    # 4,300-digit limit on int-to-str: --cap can lower it but not lift it, and
+    # a lower limit is checked against the terms themselves
+    "narayana": _Table("k,value", 7155, lambda a, cap: _sequences().narayana_row(a.n), digits=True),
+    "a007317": _Table("n,value", 6161, lambda a, cap: _sequences().a007317_terms(a.n), digits=True),
+}
 
 
 # -- verb bodies ------------------------------------------------------------
 
 def _words(args) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """--perm and --sigma as words; the library validates them, --perm first."""
-    p = parse_word(args.perm)
+    p = parse_word(_object(args, "--perm", args.verb))
     try:
         return p, parse_word(args.sigma)
     except InvalidInputError:
@@ -108,38 +193,11 @@ def _do_sortable(args) -> tuple[str | dict, int]:
 
 
 def _do_enumerate(args) -> tuple[str | dict, int]:
-    kind = args.kind
-    n = args.n
-    if args.pattern is not None and kind != "rgf":
-        raise InvalidInputError(f"--pattern applies only to kind rgf, not {kind}")
-    if kind == "sortable":
-        cap = _effective_cap(args, machine.DEFAULT_PERM_CAP)
-        sigma = parse_perm(args.sigma)
-        if sigma == (1, 3, 2):
-            perms = grid.generate_sortable(n, cap)
-        else:
-            perms = machine.enumerate_sortable(n, sigma, cap)
-        items = [format_perm(p) for p in perms]
-    elif kind == "rgf":
-        cap = _effective_cap(args, rgf.DEFAULT_RGF_CAP)
-        if args.pattern is not None:
-            words = rgf.enumerate_avoiders(n, parse_word(args.pattern), cap)
-        else:
-            words = rgf.enumerate_rgfs(n, cap)
-        items = [format_rgf(w) for w in words]
-    elif kind == "dyck":
-        cap = _effective_cap(args, paths.DEFAULT_PATH_CAP)
-        items = list(paths.enumerate_dyck(n, cap))
-    elif kind == "motzkin":
-        cap = _effective_cap(args, paths.DEFAULT_PATH_CAP)
-        items = [paths.format_steps(s) for s in paths.enumerate_motzkin(n, cap)]
-    else:  # labeled-motzkin
-        cap = _effective_cap(args, paths.DEFAULT_LABELED_CAP)
-        items = [
-            paths.format_steps(s) for s in paths.enumerate_labeled_motzkin(n, cap)
-        ]
+    row, cap = _row(args, _ENUMERATE)
+    show = _KINDS[row.kind].show
+    items = [show(x) for x in row.items(args, cap)]
     if args.json:
-        doc = {"kind": kind, "n": n, "count": len(items)}
+        doc = {"kind": args.kind, "n": args.n, "count": len(items)}
         if not args.count_only:
             doc["items"] = items
         return doc, 0
@@ -148,8 +206,8 @@ def _do_enumerate(args) -> tuple[str | dict, int]:
     return "\n".join(items), 0
 
 
-def _decompose(perm: str, as_json: bool) -> tuple[str | dict, int]:
-    p = parse_word(perm)  # decompose validates it
+def _decompose(args: argparse.Namespace, as_json: bool) -> tuple[str | dict, int]:
+    p = parse_word(_object(args, "--perm", args.verb))  # decompose validates it
     d = grid.decompose(p)
     if as_json:
         return {
@@ -277,10 +335,7 @@ MAP_NAMES = tuple(sorted({*_MAPS, *_MAP_ALIASES}))
 def _do_map(args) -> tuple[str | dict, int]:
     m = _MAPS[_MAP_ALIASES.get(args.name, args.name)]
     src, dst = _KINDS[m.src], _KINDS[m.dst]
-    text = _require(args, src.flag, f"map {args.name}")
-    if text == "-":  # the object is read from stdin, past the argv size limit
-        text = sys.stdin.read().removesuffix("\n")
-    x = src.parse(text)
+    x = src.parse(_object(args, src.flag, f"map {args.name}"))
     y = m.call(x, args)
     swaps = None
     if m.swaps:
@@ -326,65 +381,34 @@ def _do_verify(args) -> tuple[str | dict, int]:
     return "\n".join(lines), 1 if failed else 0
 
 
-def _table_rows(args) -> tuple[str, list[tuple[int, int]], int]:
-    from . import sequences
-
-    kind = args.kind
-    n = args.n
+def _do_table(args) -> tuple[str | dict, int]:
+    kind, n = args.kind, args.n
     if n < 1:
         raise InvalidInputError(f"--n must be >= 1, got {n}")
-    if args.pattern is not None and kind != "rgf-max":
-        raise InvalidInputError(f"--pattern applies only to kind rgf-max, not {kind}")
-    if kind in _TABLE_DIGIT_CAPS:
-        top = _TABLE_DIGIT_CAPS[kind]
-        check_size(n, min(_effective_cap(args, top), top), f"{kind} table at n={n}")
-    status = 0
-    if kind == "a007317":
-        header = "n,value"
-        rows = list(enumerate(sequences.a007317_terms(n), start=1))
-    elif kind == "narayana":
-        header = "k,value"
-        rows = list(enumerate(sequences.narayana_row(n), start=1))
-    elif kind == "sortable-by-minima":
-        cap = _effective_cap(args, machine.DEFAULT_PERM_CAP)
-        dist = grid.minima_distribution(n, cap)
-        header = "k,count"
-        rows = [(k, dist.get(k, 0)) for k in range(1, n + 1)]
-        status = int([v for _, v in rows] != sequences.max_distribution_row(n))
-    else:  # rgf-max
-        cap = _effective_cap(args, rgf.DEFAULT_RGF_CAP)
-        pattern = (1, 2, 3, 3, 2) if args.pattern is None else parse_word(args.pattern)
-        dist = rgf.max_distribution(n, pattern, cap)
-        header = "max,count"
-        rows = [(k, dist.get(k, 0)) for k in range(1, n + 1)]
+    row, cap = _row(args, _TABLES)
+    if row.digits:  # the sequences take no cap, so it is checked here
+        check_size(n, min(cap, row.cap), f"{kind} table at n={n}")
+    values = row.values(args, cap)
+    status = int(row.closed is not None and values != row.closed(n))
     # a term has more than L digits exactly when it is >= 10**L; L is 0 (no
     # limit) when set so, and on Python before 3.11
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and max(v for _, v in rows) >= 10**limit:
+    if limit and max(values) >= 10**limit:
         raise ResourceLimitError(
             f"refusing {kind} table at n={n} (a term has more than {limit} "
             "digits, the int-to-str limit)"
         )
-    return header, rows, status
-
-
-def _do_table(args) -> tuple[str | dict, int]:
-    header, rows, status = _table_rows(args)
+    rows = list(enumerate(values, start=1))
     failed = "failed against the closed form"
     if args.format == "json":
-        doc = {
-            "kind": args.kind,
-            "n": args.n,
-            "columns": header.split(","),
-            "rows": [[i, v] for i, v in rows],
-        }
+        doc = {"kind": kind, "n": n, "columns": row.header.split(","), "rows": rows}
         if status:
             doc["cross_check"] = failed
         return doc, status
     if args.format == "bfile":
         body = "\n".join(f"{i} {v}" for i, v in rows)
     else:
-        body = "\n".join([header] + [f"{i},{v}" for i, v in rows])
+        body = "\n".join([row.header] + [f"{i},{v}" for i, v in rows])
     if status:
         body += f"\ncross-check {failed}"
     return body, status
@@ -392,7 +416,7 @@ def _do_table(args) -> tuple[str | dict, int]:
 
 def _do_export(args) -> tuple[str | dict, int]:
     if args.kind == "decomposition":
-        return _decompose(args.perm, args.format == "json")
+        return _decompose(args, args.format == "json")
     p, sigma = _words(args)
     out, trace = machine.sigma_stack_pass(p, sigma)
     if args.format == "json":
@@ -432,12 +456,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("enumerate", help="list combinatorial families")
-    p.add_argument(
-        "kind", choices=["sortable", "rgf", "dyck", "motzkin", "labeled-motzkin"]
-    )
+    p.add_argument("kind", choices=list(_ENUMERATE))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--sigma", default="132")
-    p.add_argument("--pattern", help="avoided pattern for kind rgf")
+    p.add_argument("--pattern", help=f"avoided pattern for kind {_PATTERN_KINDS['enumerate']}")
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--cap", type=int)
     common(p)
@@ -463,12 +485,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("table", help="print a distribution or sequence table")
-    p.add_argument(
-        "kind", choices=["sortable-by-minima", "rgf-max", "narayana", "a007317"]
-    )
+    p.add_argument("kind", choices=list(_TABLES))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=["csv", "json", "bfile"], default="csv")
-    p.add_argument("--pattern", help="avoided pattern for kind rgf-max")
+    p.add_argument("--pattern", help=f"avoided pattern for kind {_PATTERN_KINDS['table']}")
     p.add_argument("--cap", type=int)
     p.add_argument("--out", help="write the report to this file")
 
@@ -486,7 +506,7 @@ _DISPATCH = {
     "simulate": _do_simulate,
     "sortable": _do_sortable,
     "enumerate": _do_enumerate,
-    "decompose": lambda args: _decompose(args.perm, args.json),
+    "decompose": lambda args: _decompose(args, args.json),
     "map": _do_map,
     "verify": _do_verify,
     "table": _do_table,

@@ -297,8 +297,8 @@ def enumerate_sortable(
     n: int, sigma: Iterable[int] = (1, 3, 2), cap: int = DEFAULT_PERM_CAP
 ) -> list[Perm]:
     """All sortable permutations of length n, lexicographically sorted."""
-    check_size(n, cap, f"enumeration of S_{n}")
     run = _control(sigma)[1]
+    check_size(n, cap, f"enumeration of S_{n}")
     return [p for p in permutations(range(1, n + 1)) if not _contains_231(run(p))]
 
 

@@ -201,22 +201,41 @@ def _long_dyck(rng, n):
 
 def test_map_reads_its_object_from_stdin(capsys, monkeypatch):
     # "-" reads the object from stdin, so one past the 128 KiB argv limit
-    # fits; the text then gets the same answer, or error, as in argv
+    # fits; the text then gets the same answer, or error, as in argv, in
+    # every verb that reads --perm, --rgf or --path
     path = _long_dyck(random.Random(100000), 100000)
     code, w, err = run(capsys, "map", "psi-inverse", "--path", path)
     assert (code, err) == (0, "")
+    long_perm = format_perm(tuple(range(30000, 0, -1)))
     for argv, text in (
-        (("psi-inverse", "--path"), path),
-        (("psi", "--rgf"), w.removesuffix("\n")),
-        (("psi-inverse", "--path"), ""),  # no Dyck path
-        (("beta", "--path"), ""),  # the labeled Motzkin path of length 0
-        (("phi", "--perm", "--json"), "2 4 1 3"),
-        (("phi", "--perm"), "2 2"),
-        (("gamma", "--steps", "--json", "--rgf"), "1 2 3 3 2"),
+        (("map", "psi-inverse", "--path"), path),
+        (("map", "psi", "--rgf"), w.removesuffix("\n")),
+        (("map", "psi-inverse", "--path"), ""),  # no Dyck path
+        (("map", "beta", "--path"), ""),  # the labeled Motzkin path of length 0
+        (("map", "phi", "--perm", "--json"), "2 4 1 3"),
+        (("map", "phi", "--perm"), "2 2"),
+        (("map", "gamma", "--steps", "--json", "--rgf"), "1 2 3 3 2"),
+        (("decompose", "--perm"), "13 14 15 10 12 6 7 8 11 9 3 1 4 5 2"),
+        (("decompose", "--perm"), long_perm),
+        (("decompose", "--json", "--perm"), "2 4 1 3"),
+        (("decompose", "--perm"), "2 2"),
+        (("simulate", "--trace", "--perm"), "2 4 1 3"),
+        (("simulate", "--sigma", "123", "--trace", "--json", "--perm"), "3 1 4 2"),
+        (("simulate", "--trace", "--perm"), "x"),
+        (("sortable", "--perm"), long_perm),
+        (("sortable", "--sigma", "1", "--perm"), "1 1"),
+        (("export", "trace", "--perm"), "2 4 1 3"),
+        (("export", "trace", "--format", "json", "--perm"), "3 1 2"),
+        (("export", "decomposition", "--perm"), "3 1 2"),
     ):
-        want = run(capsys, "map", *argv, text)
+        want = run(capsys, *argv, text)
         monkeypatch.setattr("sys.stdin", io.StringIO(text + "\n"))
-        assert run(capsys, "map", *argv, "-") == want, (argv, text[:20])
+        assert run(capsys, *argv, "-") == want, (argv, text[:20])
+    # stdin is read only for the flag the verb uses
+    monkeypatch.setattr("sys.stdin", io.StringIO("1 2 1\n"))
+    got = run(capsys, "map", "phi", "--perm", "2 1", "--rgf", "-")
+    assert got == run(capsys, "map", "phi", "--perm", "2 1")
+    assert sys.stdin.read() == "1 2 1\n"
 
 
 def test_decompose(capsys):
@@ -442,6 +461,11 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, _ = run(capsys, "enumerate", "sortable", "--n", "25")
     assert code == 2  # over the default cap
+    # a bad control is reported before the cap, as at a length under it
+    for n in ("3", "20"):
+        code, out, err = run(capsys, "enumerate", "sortable", "--sigma", "1", "--n", n)
+        assert (code, out) == (2, ""), n
+        assert err.startswith("error: control pattern must have length >= 2"), (n, err)
     code, out, err = run(capsys, "verify", "--nmax", "0")
     assert (code, out) == (2, "") and err.startswith("error: ")
     code, out, err = run(capsys, "table", "a007317", "--n", "-3")

@@ -395,5 +395,8 @@ def test_enumeration_cap():
     with pytest.raises(ResourceLimitError, match=re.escape("refusing enumeration of S_7 (cap 6)")):
         enumerate_sortable(7, (1, 3, 2), cap=6)
     # the control is validated before the length
-    with pytest.raises(InvalidInputError, match="not a permutation"):
-        verify_characterizations(n, (1, 1, 2))
+    for call in (enumerate_sortable, verify_characterizations):
+        with pytest.raises(InvalidInputError, match="not a permutation"):
+            call(n, (1, 1, 2))
+        with pytest.raises(InvalidInputError, match="control pattern must have length >= 2"):
+            call(n, (1,))
