@@ -28,6 +28,7 @@ numbers.  argparse stays the reference the table is tested against.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -55,16 +56,30 @@ def _object(args: argparse.Namespace, flag: str, verb: str) -> str:
 
 # -- enumerate and table: one row per kind ---------------------------------
 
-# the one kind of each verb that reads --pattern
-_PATTERN_KINDS = {"enumerate": "rgf", "table": "rgf-max"}
+# per flag, the one kind of each verb that reads it
+_READERS = {
+    "--pattern": {"enumerate": "rgf", "table": "rgf-max"},
+    "--sigma": {"enumerate": "sortable", "export": "trace"},
+}
+
+
+def _refuse_unread(args: argparse.Namespace) -> None:
+    """Refuse --pattern, then --sigma, when given to a kind that would ignore it."""
+    for flag, readers in _READERS.items():
+        reader = readers.get(args.verb)
+        if reader and args.kind != reader and getattr(args, flag[2:]) is not None:
+            raise InvalidInputError(f"{flag} applies only to kind {reader}, not {args.kind}")
+
+
+def _sigma(args: argparse.Namespace) -> tuple[int, ...]:
+    """--sigma as a word, 132 when it is not given."""
+    return parse_word("132" if args.sigma is None else args.sigma)
 
 
 def _row(args: argparse.Namespace, rows: dict) -> tuple[Any, int]:
     """The row of args.kind and its cap: --cap, else $PATTERNSORT_CAP, else the
-    row's.  --pattern is refused first on a kind that would ignore it."""
-    reader = _PATTERN_KINDS[args.verb]
-    if args.pattern is not None and args.kind != reader:
-        raise InvalidInputError(f"--pattern applies only to kind {reader}, not {args.kind}")
+    row's.  A flag the kind would ignore is refused first."""
+    _refuse_unread(args)
     row = rows[args.kind]
     if args.cap is not None:
         return row, args.cap
@@ -78,7 +93,7 @@ def _row(args: argparse.Namespace, rows: dict) -> tuple[Any, int]:
 
 
 def _sortable(args: argparse.Namespace, cap: int) -> list[tuple[int, ...]]:
-    sigma = parse_word(args.sigma)  # the library validates it, before the cap
+    sigma = _sigma(args)  # the library validates it, before the cap
     if sigma == (1, 3, 2):
         return grid.generate_sortable(args.n, cap)
     return machine.enumerate_sortable(args.n, sigma, cap)
@@ -158,7 +173,7 @@ def _words(args) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """--perm and --sigma as words; the library validates them, --perm first."""
     p = parse_word(_object(args, "--perm", args.verb))
     try:
-        return p, parse_word(args.sigma)
+        return p, _sigma(args)
     except InvalidInputError:
         as_perm(p)  # a --perm that is no permutation is reported first
         raise
@@ -415,6 +430,7 @@ def _do_table(args) -> tuple[str | dict, int]:
 
 
 def _do_export(args) -> tuple[str | dict, int]:
+    _refuse_unread(args)
     if args.kind == "decomposition":
         return _decompose(args, args.format == "json")
     p, sigma = _words(args)
@@ -439,6 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sortable permutations, growth-function words, and lattice paths.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    pattern, sigma = _READERS["--pattern"], _READERS["--sigma"]  # the kinds that read them
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", help="write the report to this file")
@@ -458,8 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list combinatorial families")
     p.add_argument("kind", choices=list(_ENUMERATE))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--sigma", default="132")
-    p.add_argument("--pattern", help=f"avoided pattern for kind {_PATTERN_KINDS['enumerate']}")
+    p.add_argument("--sigma", help=f"control for kind {sigma['enumerate']} (default 132)")
+    p.add_argument("--pattern", help=f"avoided pattern for kind {pattern['enumerate']}")
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--cap", type=int)
     common(p)
@@ -488,14 +505,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=list(_TABLES))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=["csv", "json", "bfile"], default="csv")
-    p.add_argument("--pattern", help=f"avoided pattern for kind {_PATTERN_KINDS['table']}")
+    p.add_argument("--pattern", help=f"avoided pattern for kind {pattern['table']}")
     p.add_argument("--cap", type=int)
     p.add_argument("--out", help="write the report to this file")
 
     p = sub.add_parser("export", help="machine-readable trace or decomposition")
     p.add_argument("kind", choices=["trace", "decomposition"])
     p.add_argument("--perm", required=True)
-    p.add_argument("--sigma", default="132")
+    p.add_argument("--sigma", help=f"control for kind {sigma['export']} (default 132)")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out", help="write the report to this file")
 
@@ -616,7 +633,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"error: cannot write {out_path}: {exc.strerror}", file=sys.stderr)
             return 2
     else:
-        print(body)
+        try:
+            print(body, flush=True)
+        except BrokenPipeError:  # the reader left early: the flush at exit goes nowhere
+            with contextlib.suppress(OSError, ValueError):  # a StringIO has no descriptor
+                fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fd)
+                os.close(devnull)
     return status
 
 

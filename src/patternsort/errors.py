@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the one size guard."""
+"""Exception types shared across the package, the one size guard and the one walk."""
+
+from typing import Any, Callable, Iterable, Iterator
 
 
 class InvalidInputError(ValueError):
@@ -19,6 +21,26 @@ def check_size(n: int, cap: int, refusing: str, what: str = "length") -> None:
         raise InvalidInputError(f"{what} must be nonnegative")
     if n > cap:
         raise ResourceLimitError(f"refusing {refusing} (cap {cap})")
+
+
+def walk(root: Any, children: Callable[[Any], Iterable], depth: int) -> Iterator:
+    """The nodes depth levels below root, depth first, in the order
+    ``children(node)`` lists them.
+
+    The stack holds one iterator per level, so a deep walk never meets the
+    recursion limit, and only the current path and its waiting siblings
+    are alive: no whole level is held, or scanned by the garbage collector.
+    """
+    stack = [iter((root,))]
+    while stack:
+        for node in stack[-1]:
+            if len(stack) > depth:
+                yield node
+            else:
+                stack.append(iter(children(node)))
+                break
+        else:
+            stack.pop()
 
 
 class InsertRejected(Exception):

@@ -23,9 +23,10 @@ from __future__ import annotations
 from collections import Counter
 from itertools import chain
 from math import inf
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
-from .errors import InsertRejected, InvalidInputError, check_size
+from .errors import InsertRejected, InvalidInputError, check_size, walk
 from .machine import DEFAULT_PERM_CAP, is_sigma_sortable
 from .perms import Perm, _contains_231, as_perm, ltr_minima, spell
 
@@ -417,23 +418,10 @@ def children(pi: Iterable[int]) -> list[tuple[InsertionKind, Perm]]:
 
 
 def generate_sortable(n: int, cap: int = DEFAULT_PERM_CAP) -> list[Perm]:
-    """Sort_n(132) grown depth first from the empty permutation.
-
-    Only the states on the current path and their waiting siblings are
-    alive at any time, so a whole level of states never has to be held
-    (or scanned by the garbage collector).
-    """
+    """Sort_n(132) grown depth first from the empty permutation, by errors.walk."""
     check_size(n, cap, f"generation at n={n}")
-    todo = [GrowthState()]
-    out: list[Perm] = []
-    while todo:
-        s = todo.pop()
-        if len(s._up) == n:
-            out.append(s.perm)
-        else:
-            todo.extend(c for _, c in s.children())
-    out.sort()
-    return out
+    states = walk(GrowthState(), lambda s: map(itemgetter(1), s.children()), n)
+    return sorted(s.perm for s in states)
 
 
 def minima_distribution(n: int, cap: int = DEFAULT_PERM_CAP) -> Counter[int]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from typing import Iterator, Sequence
 
-from .errors import InvalidInputError, MalformedInputError, check_size
+from .errors import InvalidInputError, MalformedInputError, check_size, walk
 
 DEFAULT_PATH_CAP = 12
 DEFAULT_LABELED_CAP = 10
@@ -96,24 +96,17 @@ def validate_labeled_motzkin(steps: Sequence[str]) -> tuple[str, ...]:
 
 def _walk(length: int, family: Sequence[tuple[str, bool]]) -> Iterator[tuple[str, ...]]:
     """Paths of the given length over the family's table, in its order."""
-    steps: list[str] = []
 
-    def extend(h: int) -> Iterator[tuple[str, ...]]:
-        rest = length - len(steps)
-        if rest == 0:
-            if h == 0:
-                yield tuple(steps)
-            return
-        if h > rest:  # can no longer return to zero
-            return
+    def children(node: tuple[tuple[str, ...], int]) -> Iterator[tuple[tuple[str, ...], int]]:
+        steps, h = node
+        rest = length - len(steps) - 1  # steps left after the next one
         for t, lifted in family:
-            if lifted and h == 0:
-                continue
-            steps.append(t)
-            yield from extend(h + (t == "U") - (t == "D"))
-            steps.pop()
+            g = h + (t == "U") - (t == "D")
+            if (h or not lifted) and g <= rest:  # g can still return to zero
+                yield steps + (t,), g
 
-    yield from extend(0)
+    for steps, _ in walk(((), 0), children, length):
+        yield steps
 
 
 def enumerate_dyck(semilength: int, cap: int = DEFAULT_PATH_CAP) -> Iterator[str]:

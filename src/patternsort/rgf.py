@@ -17,8 +17,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InvalidInputError, check_size
-from .perms import first_occurrence, spell
+from .errors import InvalidInputError, check_size, walk
+from .perms import _kernel, first_occurrence, spell
 
 Rgf = tuple[int, ...]
 
@@ -145,25 +145,20 @@ def _walk(n: int, cap: int, pattern: Sequence[int] | None = None) -> Iterator[Rg
 
     With a pattern, a branch is cut the moment an appended letter
     completes an occurrence: the word avoided the pattern before, so a
-    new occurrence must end at that letter.
+    new occurrence must end at that letter, where ``ends`` pins it.
     """
     check_size(n, cap, f"RGF enumeration at n={n}")
-    word: list[int] = []
+    ends = None if pattern is None else _kernel(tuple(pattern), False, True, frozenset())
 
-    def extend(top: int) -> Iterator[Rgf]:  # top: the running maximum
+    def children(node: tuple[Rgf, int]) -> Iterator[tuple[Rgf, int]]:
+        word, top = node  # top: the running maximum
         for letter in range(1, top + 2):
-            word.append(letter)
-            if pattern is None or first_occurrence(word, pattern, tail=True) is None:
-                if len(word) == n:
-                    yield tuple(word)
-                else:
-                    yield from extend(max(top, letter))
-            word.pop()
+            w = word + (letter,)
+            if ends is None or ends(w) is None:
+                yield w, max(top, letter)
 
-    if n == 0:
-        yield ()
-    else:
-        yield from extend(0)
+    for word, _ in walk(((), 0), children, n):
+        yield word
 
 
 def enumerate_rgfs(n: int, cap: int = DEFAULT_RGF_CAP) -> Iterator[Rgf]:

@@ -485,6 +485,18 @@ def test_usage_errors(capsys):
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "") and err.startswith("error: "), argv
+    # and so is --sigma, which only enumerate sortable and export trace read
+    for argv, kind in (
+        (("enumerate", "rgf", "--n", "3", "--sigma", "132"), "rgf"),
+        (("enumerate", "dyck", "--n", "2", "--sigma", "junk"), "dyck"),
+        (("enumerate", "motzkin", "--n", "3", "--sigma", "132"), "motzkin"),
+        (("enumerate", "labeled-motzkin", "--n", "3", "--sigma", "132"), "labeled-motzkin"),
+        (("export", "decomposition", "--perm", "312", "--sigma", "junk"), "decomposition"),
+    ):
+        code, out, err = run(capsys, *argv)
+        reader = "trace" if argv[0] == "export" else "sortable"
+        want = f"error: --sigma applies only to kind {reader}, not {kind}\n"
+        assert (code, out, err) == (2, "", want), argv
     # a word with no letter is refused by every verb that reads one
     for argv in (
         ("map", "psi", "--rgf", ","),
@@ -501,6 +513,8 @@ def test_usage_errors(capsys):
         ("enumerate", "rgf", "--n", "3", "--pattern", " , "),
         ("enumerate", "rgf", "--n", "3", "--pattern", ""),
         ("table", "rgf-max", "--n", "3", "--pattern", ""),
+        ("enumerate", "sortable", "--n", "3", "--sigma", ""),
+        ("export", "trace", "--perm", "312", "--sigma", ""),
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "") and err.startswith("error: "), argv
@@ -508,6 +522,46 @@ def test_usage_errors(capsys):
     assert code == 0
     code, _, _ = run(capsys, "table", "rgf-max", "--n", "3", "--pattern", "12")
     assert code == 0
+
+
+def test_usage_errors_come_in_one_order(capsys, monkeypatch):
+    # table's --n, then an unread --pattern, then an unread --sigma, then
+    # PATTERNSORT_CAP, then the kind's own words
+    monkeypatch.setenv("PATTERNSORT_CAP", "x")
+    for argv, want in (
+        (("table", "a007317", "--n", "0", "--pattern", "12"), "--n must be >= 1, got 0"),
+        (("enumerate", "dyck", "--n", "2", "--pattern", "1", "--sigma", "x"), "--pattern applies"),
+        (("enumerate", "dyck", "--n", "2", "--sigma", "x"), "--sigma applies"),
+        (("enumerate", "sortable", "--n", "2", "--sigma", "x"), "PATTERNSORT_CAP='x'"),
+        (("enumerate", "rgf", "--n", "2", "--pattern", "x"), "PATTERNSORT_CAP='x'"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith(f"error: {want}"), (argv, err)
+    monkeypatch.delenv("PATTERNSORT_CAP")
+    for argv in (
+        ("enumerate", "sortable", "--n", "2", "--sigma", "x"),
+        ("enumerate", "rgf", "--n", "2", "--pattern", "x"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: cannot parse word 'x'\n"), argv
+    # without --sigma, export trace runs 132, as enumerate sortable does
+    assert run(capsys, "export", "trace", "--perm", "2413") == run(
+        capsys, "export", "trace", "--perm", "2413", "--sigma", "132"
+    )
+
+
+def test_a_closed_pipe_ends_quietly():
+    # the 21,147 RGFs of length 9 fill far more than a pipe's buffer, so the
+    # CLI is still writing when the reader closes its end after one line
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    with subprocess.Popen(
+        [sys.executable, "-m", "patternsort", "enumerate", "rgf", "--n", "9"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+    ) as child:
+        assert child.stdout.readline() == b"111111111\n"
+        child.stdout.close()
+        err = child.stderr.read()
+        assert (child.wait(timeout=60), err) == (0, b"")
 
 
 def test_perm_error_reported_before_sigma_error(capsys):

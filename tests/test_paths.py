@@ -4,7 +4,7 @@ from itertools import accumulate, product
 
 import pytest
 
-from patternsort.errors import InvalidInputError, MalformedInputError, ResourceLimitError
+from patternsort.errors import InvalidInputError, MalformedInputError, ResourceLimitError, walk
 from patternsort.paths import (
     DEFAULT_LABELED_CAP,
     DEFAULT_PATH_CAP,
@@ -173,6 +173,24 @@ def test_caps():
             ResourceLimitError, match=re.escape(f"refusing {refusing} {cap + 1} (cap {cap})")
         ):
             next(lazy)
+
+
+def test_walk_lists_one_level_depth_first():
+    def halves(word):
+        return (word + "0", word + "1")
+
+    # depth 0 is the root alone; children are never asked for
+    assert list(walk("", None, 0)) == [""]
+    assert list(walk("", halves, 1)) == ["0", "1"]
+    assert list(walk("", halves, 3)) == ["".join(w) for w in product("01", repeat=3)]
+    assert list(walk("", lambda w: (), 2)) == []
+
+
+def test_deep_first_paths_pass_the_recursion_limit():
+    # the walk keeps its own stack, so a path thousands of steps long is
+    # listed as readily as a short one
+    assert next(enumerate_dyck(2000, cap=2000)) == "UD" * 2000
+    assert next(enumerate_labeled_motzkin(2000, cap=2000)) == ("U",) * 1000 + ("D",) * 1000
 
 
 def test_double_rises():

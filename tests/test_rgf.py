@@ -136,6 +136,10 @@ def test_enumeration_caps():
         enumerate_avoiders(5, (1, 2, 2, 1), cap=4)
 
 
+def test_deep_first_rgf_passes_the_recursion_limit():
+    assert next(enumerate_rgfs(2000, cap=2000)) == (1,) * 2000
+
+
 def test_partition_duality():
     # 12132 encodes the partition 13-25-4
     word = (1, 2, 1, 3, 2)
