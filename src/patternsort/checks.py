@@ -260,13 +260,14 @@ def _trace_invariants(case: tuple[Perm, Perm]) -> bool:
 
 
 def _fast_matches_generic(case: tuple[Perm, Perm]) -> bool:
-    # the replayed events, and the text trace, which replays on its own
+    # the replayed events, the text trace, which replays on its own, and the
+    # row's decide against the generic machine's verdict
     out, trace = machine.sigma_stack_pass(*case)
     generic = machine._generic_pass(*case)
     return (out, trace.events) == generic and trace.as_lines() == [
         f"{op} {v} | stack: {','.join(map(str, snap)) or '(empty)'}"
         for op, v, snap in generic[1]
-    ]
+    ] and machine._control(case[1])[2](case[0]) == (not perms._contains_231(generic[0]))
 
 
 def _perm_scans_match_kernel(p: Perm) -> bool:
@@ -456,8 +457,8 @@ _REGISTRY: tuple[Check, ...] = (
           _every(lambda n: product(perms.all_perms(n), ((1, 3, 2), (3, 2, 1), (2, 1))),
                  _trace_invariants, lambda c: f"{_perm(c[0])} sigma={_perm(c[1])}")),
     Check("machine-fast-vs-generic", "machine", 7,
-          "cut scan and Stacksort agree with the generic machine in output "
-          "and trace, all six length-3 controls and 21, n <= {bound}",
+          "cut scan and Stacksort agree with the generic machine in output, "
+          "trace and verdict, all six length-3 controls and 21, n <= {bound}",
           _every(lambda n: product(perms.all_perms(n), machine._PASSES),
                  _fast_matches_generic,
                  lambda c: f"sigma={_perm(c[1])} on {_perm(c[0])}")),

@@ -6,7 +6,14 @@ top, still avoids the control pattern; otherwise the top is popped to
 the output and the test repeats.  After the input is exhausted the
 stack is flushed.  A permutation is sortable when a classical
 increasing stack can finish the job, i.e. when the first pass output
-avoids 231.
+avoids 231.  A control's decide answers that without building the
+output.  The 132 and 123 decides feed each letter their pass pops to
+that second stack, which rejects pi exactly when a letter arrives over
+a smaller top that is not the next output value: the top, the letter
+and the next value form a 231.  Under these controls that check is a
+pop above the pop before it (the README shows why), and the pops and
+the flushed rest then take one 231 test.  Other controls decide by
+whether the output avoids 231.
 
 For a control sigma of length 3 no matcher is needed.  Pushing x is
 illegal iff some y sits above some z in the stack with (x, y, z)
@@ -31,7 +38,8 @@ upward: the levels that pop are the top ones, each value pops once
 values gives a new top's P.  231 has no such threshold: on the stack
 5 7 1 3 the top pops for an incoming 2 or 6 but not for 4, so
 `_any_output` scans.  `_control` resolves a control once, to its row of
-`_PASSES` or else to `_generic_output`, the table's reference.
+`_PASSES` (its pass and its decide) or else to `_generic_output`, the
+table's reference.
 
 A pass is fixed by its input and its output, so a trace (`MachineTrace`)
 holds just those two and the fast passes record nothing: the top of the
@@ -44,6 +52,7 @@ events and is the reference the replay is cross-checked against.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations, permutations
 from operator import length_hint
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -57,7 +66,6 @@ from .perms import (
     all_perms,
     as_perm,
     avoids,
-    complement,
     contains_mesh,
     letter_texts,
     reverse,
@@ -67,6 +75,7 @@ from .perms import (
 DEFAULT_PERM_CAP = 10
 
 _Event = tuple[str, int, tuple[int, ...]]  # (op, value, snapshot) of one trace event
+_Pass = Callable[[Perm], Perm]
 
 
 class MachineTrace(NamedTuple):
@@ -223,6 +232,52 @@ def _any_output(pi: Perm) -> Perm:
     return tuple(output)
 
 
+def _nearest_sorts(pi: Perm) -> bool:
+    """`_nearest_output` stopping at the first popped letter above the one before."""
+    stack, ms = [0] * (len(pi) + 1), [0] * (len(pi) + 1)
+    output = [t := len(pi) + 1]  # the pops, t the last, after a sentinel no 231 can use
+    d = m = 0
+    held = 1
+    for x in pi:
+        while m > x:
+            if (v := stack[d]) > t:
+                return False
+            output.append(t := v)
+            held ^= 1 << v
+            d -= 1
+            m = ms[d]
+        bit = 1 << x
+        below = (held & (bit - 1)).bit_length() - 1
+        if below > m:
+            m = below
+        held |= bit
+        d += 1
+        stack[d], ms[d] = x, m
+    return not _contains_231(output + stack[d:0:-1])
+
+
+def _farthest_sorts(pi: Perm) -> bool:
+    """`_farthest_output` stopping at the first popped letter above the one before."""
+    n = len(pi)
+    stack, qs, hs = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+    output = [t := n + 1]
+    d = q = h = 0
+    for x in pi:
+        while q > x:
+            if (v := stack[d]) > t:
+                return False
+            output.append(t := v)
+            d -= 1
+            q, h = qs[d], hs[d]
+        if x < h:
+            q = x
+        else:
+            h = x
+        d += 1
+        stack[d], qs[d], hs[d] = x, q, h
+    return not _contains_231(output + stack[d:0:-1])
+
+
 def _s21_output(pi: Perm) -> Perm:
     stack: list[int] = []
     output: list[int] = []
@@ -234,38 +289,49 @@ def _s21_output(pi: Perm) -> Perm:
     return tuple(output)
 
 
-def _complemented(rule: Callable[[Perm], Perm]) -> Callable[[Perm], Perm]:
+def _complemented(rule: _Pass) -> _Pass:
     """The pass of the complemented control: ``rule`` on complemented values."""
-    return lambda pi: complement(rule(complement(pi)))
+    return lambda pi: tuple(map((t := len(pi) + 1).__sub__, rule(tuple(map(t.__sub__, pi)))))
 
 
-# every control with a fast pass, in lexicographic order; see the module docstring
-_PASSES: dict[Perm, Callable[[Perm], Perm]] = {
-    (1, 2, 3): _farthest_output,
-    (1, 3, 2): _nearest_output,
-    (2, 1, 3): _complemented(_any_output),
-    (2, 3, 1): _any_output,
-    (3, 1, 2): _complemented(_nearest_output),
-    (3, 2, 1): _complemented(_farthest_output),
-    (2, 1): _s21_output,
+def _reference(run: _Pass, pi: Perm) -> bool:
+    """The reference decide: whether ``run``'s output avoids 231."""
+    return not _contains_231(run(pi))
+
+
+def _refer(run: _Pass) -> tuple[_Pass, Callable[[Perm], bool]]:
+    return run, partial(_reference, run)
+
+
+# every control with a fast pass, in lexicographic order, to its pass and its
+# decide; see the module docstring
+_PASSES: dict[Perm, tuple[_Pass, Callable[[Perm], bool]]] = {
+    (1, 2, 3): (_farthest_output, _farthest_sorts),
+    (1, 3, 2): (_nearest_output, _nearest_sorts),
+    (2, 1, 3): _refer(_complemented(_any_output)),
+    (2, 3, 1): _refer(_any_output),
+    (3, 1, 2): _refer(_complemented(_nearest_output)),
+    (3, 2, 1): _refer(_complemented(_farthest_output)),
+    (2, 1): _refer(_s21_output),
 }
 
 
-def _control(sigma: Iterable[int]) -> tuple[Perm, Callable[[Perm], Perm]]:
-    """The validated control and its pass: its `_PASSES` row, else the generic machine."""
+def _control(sigma: Iterable[int]) -> tuple[Perm, _Pass, Callable[[Perm], bool]]:
+    """The validated control, its pass and its decide: its `_PASSES` row, else
+    the generic machine's."""
     s = tuple(sigma)
     # a plain-int tuple that keys a fast pass is a permutation; bools, floats, int
     # subclasses and unhashables fail the type test first and are validated in full
     if 1 < len(s) < 4 and type(s[0]) is type(s[1]) is type(s[-1]) is int:
-        if rule := _PASSES.get(s):
-            return s, rule
+        if row := _PASSES.get(s):
+            return s, *row
     s = as_perm(s)
     if len(s) < 2:
         raise InvalidInputError(
             "control pattern must have length >= 2 (a shorter one would "
             "freeze or trivialize the stack)"
         )
-    return s, _PASSES.get(s) or (lambda p: _generic_output(p, s))
+    return s, *(_PASSES.get(s) or _refer(lambda p: _generic_output(p, s)))
 
 
 def sigma_stack_pass(pi: Iterable[int], sigma: Iterable[int]) -> tuple[Perm, MachineTrace]:
@@ -290,16 +356,18 @@ def stacksort(pi: Iterable[int]) -> Perm:
 
 
 def is_sigma_sortable(pi: Iterable[int], sigma: Iterable[int] = (1, 3, 2)) -> bool:
-    return not _contains_231(s_sigma(pi, sigma))
+    """Whether the machine sorts pi, by the control's decide; pi is validated first."""
+    p = as_perm(pi)
+    return _control(sigma)[2](p)
 
 
 def enumerate_sortable(
     n: int, sigma: Iterable[int] = (1, 3, 2), cap: int = DEFAULT_PERM_CAP
 ) -> list[Perm]:
     """All sortable permutations of length n, lexicographically sorted."""
-    run = _control(sigma)[1]
+    sorts = _control(sigma)[2]
     check_size(n, cap, f"enumeration of S_{n}")
-    return [p for p in permutations(range(1, n + 1)) if not _contains_231(run(p))]
+    return list(filter(sorts, permutations(range(1, n + 1))))
 
 
 def stack_shape_check(pi: Iterable[int]) -> bool:
@@ -358,15 +426,15 @@ def witness_non_class(sigma: Iterable[int], max_n: int = 6) -> tuple[Perm, Perm]
     when no witness exists up to max_n, as happens when the sortable set
     is closed under containment.
     """
-    run = _control(sigma)[1]
+    sorts = _control(sigma)[2]
     for m in range(2, max_n + 1):
         for host in permutations(range(1, m + 1)):
-            if _contains_231(run(host)):
+            if not sorts(host):
                 continue
             for plen in range(2, m):
                 for posns in combinations(range(m), plen):
                     pat = standardize(tuple(host[i] for i in posns))
-                    if _contains_231(run(pat)):
+                    if not sorts(pat):
                         return host, pat
     return None
 
@@ -396,7 +464,7 @@ def verify_characterizations(
     A prediction is checked by one lexicographic scan of S_n that lists
     every permutation on which it and the machine disagree.
     """
-    s, run = _control(sigma)
+    s, _, sorts = _control(sigma)
     check_size(n, cap, f"verification at n={n}")
     if s == (1, 3, 2):
         kind, what = "mesh-basis", "avoiders of 2314 and the shaded 132"
@@ -414,6 +482,5 @@ def verify_characterizations(
             return CharacterizationReport(s, "non-class", False, detail, ())
         detail = "sortable {} contains unsortable {}".format(*w)
         return CharacterizationReport(s, "non-class", True, detail, w)
-    # the machine disagrees where "its output contains 231" equals "predicted sortable"
-    bad = tuple(p for p in all_perms(n) if _contains_231(run(p)) == predicted(p))
+    bad = tuple(p for p in all_perms(n) if sorts(p) != predicted(p))
     return CharacterizationReport(s, kind, not bad, f"sortable set vs {what}, n={n}", bad)

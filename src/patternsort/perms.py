@@ -295,7 +295,10 @@ def contains_classical(w: Perm, pattern: Perm) -> bool:
 
 
 def avoids(w: Perm, *patterns: Perm) -> bool:
-    return all(not contains_classical(w, p) for p in patterns)
+    for p in patterns:
+        if contains_classical(w, p):
+            return False
+    return True
 
 
 class MeshPattern(NamedTuple):

@@ -7,11 +7,14 @@ from math import inf
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from patternsort import machine
 from patternsort.errors import InvalidInputError, ResourceLimitError
 from patternsort.grid import GrowthState, generate_sortable
 from patternsort.machine import (
     DEFAULT_PERM_CAP,
     _PASSES,
+    _control,
+    _generic_output,
     _generic_pass,
     _moves,
     _shape_holds,
@@ -25,7 +28,7 @@ from patternsort.machine import (
     verify_characterizations,
     witness_non_class,
 )
-from patternsort.perms import all_perms, avoids, standardize
+from patternsort.perms import _contains_231, all_perms, avoids, standardize
 
 
 def test_s132_known_values():
@@ -274,17 +277,21 @@ def _farthest_scan(pi, sigma):
     return tuple(-v for v in output) if sigma == (3, 2, 1) else tuple(output)
 
 
-def _check_against_scan(sigma, scan):
+def _short_and_long_inputs():
+    """All of S_<=8, 300 seeded permutations up to length 300, the identity
+    of length 300, its reverse, and 1 ... 150 300 ... 151."""
     for n in range(9):
-        for p in permutations(range(1, n + 1)):
-            assert s_sigma(p, sigma) == scan(p, sigma), p
+        yield from permutations(range(1, n + 1))
     rng = random.Random(123321)
     for _ in range(300):
         n = rng.randint(1, 300)
-        p = tuple(rng.sample(range(1, n + 1), n))
-        assert s_sigma(p, sigma) == scan(p, sigma), p
+        yield tuple(rng.sample(range(1, n + 1), n))
     ident = tuple(range(1, 301))
-    for p in (ident, ident[::-1], ident[:150] + ident[:149:-1]):
+    yield from (ident, ident[::-1], ident[:150] + ident[:149:-1])
+
+
+def _check_against_scan(sigma, scan):
+    for p in _short_and_long_inputs():
         assert s_sigma(p, sigma) == scan(p, sigma), p
 
 
@@ -298,6 +305,56 @@ def test_nearest_pass_matches_the_cut_scan(sigma):
 def test_farthest_pass_matches_the_cut_scan(sigma):
     # the pass that pops from the top while q > x against the scan it replaced
     _check_against_scan(sigma, _farthest_scan)
+
+
+@pytest.mark.parametrize("sigma", [(1, 3, 2), (1, 2, 3)], ids=["132", "123"])
+def test_decide_matches_the_generic_machine(sigma):
+    # the 132 and 123 decides stop at the first letter the second stack
+    # cannot take, and must give the generic machine's verdict
+    sorts = _control(sigma)[2]
+    for p in _short_and_long_inputs():
+        assert sorts(p) is (not _contains_231(_generic_output(p, sigma))), p
+
+
+_REFERRED = [s for s in _PASSES if s not in ((1, 3, 2), (1, 2, 3))] + [(1, 3, 2, 4)]
+
+
+@pytest.mark.parametrize("sigma", _REFERRED, ids=lambda s: "".join(map(str, s)))
+def test_other_controls_decide_by_the_reference(sigma):
+    # whether the control's pass (the generic machine for 1324) outputs a
+    # 231-avoider; test_fast_matches_generic checks each pass's output
+    _, run, sorts = _control(sigma)
+    assert sorts.func is machine._reference and sorts.args == (run,)
+
+
+@pytest.mark.parametrize("sigma", [(1, 3, 2), (1, 2, 3)], ids=["132", "123"])
+def test_decide_stops_at_a_pop_above_the_pop_before(sigma, monkeypatch):
+    # a letter popped before the input ends, above the one popped before
+    # it, rejects pi without the flush and its 231 test
+    rising = []
+    for n in range(8):
+        for p in permutations(range(1, n + 1)):
+            events = _generic_pass(p, sigma)[1]
+            last_push = max((i for i, (op, _, _) in enumerate(events) if op == "PUSH"), default=0)
+            pops = [v for op, v, _ in events[:last_push] if op == "POP"]
+            if any(a < b for a, b in zip(pops, pops[1:])):
+                rising.append(p)
+    assert len(rising) > 100
+    monkeypatch.setattr(machine, "_contains_231", lambda w: pytest.fail("the 231 test ran"))
+    sorts = _control(sigma)[2]
+    assert not any(map(sorts, rising))
+
+
+@pytest.mark.parametrize("sigma", [*_PASSES, (1, 3, 2, 4)], ids=lambda s: "".join(map(str, s)))
+def test_the_empty_permutation_is_sortable(sigma):
+    assert is_sigma_sortable((), sigma)
+    assert enumerate_sortable(0, sigma) == [()]
+
+
+@pytest.mark.parametrize("sigma", [(1, 3, 3), (1.0, 3.0, 2.0), (1,), ()])
+def test_an_invalid_pi_is_reported_before_an_invalid_sigma(sigma):
+    with pytest.raises(InvalidInputError, match=re.escape("not a permutation of 1..n: (2, 2)")):
+        is_sigma_sortable((2, 2), sigma)
 
 
 def test_stack_shape_on_sortables():
