@@ -1,14 +1,16 @@
 """Constructive correspondences between sortable permutations, restricted
 growth functions, Dyck paths, and labeled Motzkin paths.
 
-Each map comes with its inverse.  Domain conditions are validated up
-front with InvalidInputError; defensive replay mismatches (which a
-validated input can never trigger) raise MalformedInputError.
+Each map comes with its inverse.  Input outside a map's domain raises
+InvalidInputError; φ⁻¹, ψ and β⁻¹ find that out in their own construction
+and only then scan for the pattern to name it.  Defensive replay
+mismatches (which no input can trigger) raise MalformedInputError.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import deque
 from math import inf
 from typing import Iterable, Iterator, NamedTuple
 
@@ -48,18 +50,18 @@ def rgf_to_sortable(word: Iterable[int]) -> Perm:
     any other letter j makes the one legal insertion into row j of the
     last column, directly above its pivot.  Each letter costs amortised
     O(1), and the permutation is read off the value order once, at the
-    end.
+    end.  The tree grows exactly the 12231-avoiders, so only they pass.
     """
     r = validate(word)
-    if _contains_12231(r):
-        raise InvalidInputError(f"{r} contains 12231")
     s = GrowthState()
     try:
         for j in r:
             s._step(j)
+        return s.perm
     except InsertRejected as exc:
-        raise MalformedInputError(f"no legal insertion for {r}: {exc}") from exc
-    return s.perm
+        if not _contains_12231(r):
+            raise MalformedInputError(f"no legal insertion for {r}: {exc}") from exc
+    raise InvalidInputError(f"{r} contains 12231")
 
 
 # -- words avoiding 1221 <-> Dyck paths ------------------------------------
@@ -74,11 +76,9 @@ def rgf_to_dyck_path(word: Iterable[int]) -> str:
     the run, so its run has length r + 1 - q, and every later insertion
     lands inside that new run: nothing before the U ever changes.  The
     path is therefore D^q_1 U D^q_2 U ... D^q_n U followed by the last
-    run.
+    run.  q < 1 exactly when j completes a 1221 (see `active_sites_1221`).
     """
     r = validate(word)
-    if _contains_1221(r):
-        raise InvalidInputError(f"{r} contains 1221")
     parts: list[str] = []
     mx = run = 0
     for j in r:
@@ -87,6 +87,8 @@ def rgf_to_dyck_path(word: Iterable[int]) -> str:
         else:
             q = run + j - mx
             if q < 1:
+                if _contains_1221(r):
+                    raise InvalidInputError(f"{r} contains 1221")
                 raise MalformedInputError(
                     f"letter {j} has no insertion site (run {run}, max {mx})"
                 )
@@ -149,7 +151,8 @@ def labeled_motzkin_to_rgf(
     if reduced and "H1" in p:
         raise InvalidInputError("reduced form is only defined for H1-free paths")
     word = [1]
-    store: list[int] = []
+    store: deque[int] = deque()
+    take, top = (store.pop, -1) if mode == "stack" else (store.popleft, 0)
     mx = 1
     for step in p:
         if step == "U":
@@ -157,14 +160,14 @@ def labeled_motzkin_to_rgf(
             word.append(mx)
             store.append(mx)
         elif step == "D":
-            word.append(store.pop() if mode == "stack" else store.pop(0))
+            word.append(take())
         elif step == "H0":
             mx += 1
             word.append(mx)
         elif step == "H1":
             word.append(1)
         else:  # H2
-            word.append(store[-1] if mode == "stack" else store[0])
+            word.append(store[top])
     if reduced:
         return tuple(v - 1 for v in word[1:])
     return tuple(word)
@@ -178,7 +181,8 @@ def rgf_to_labeled_motzkin(
     A 1 is H1; a first occurrence is U when the value recurs and H0 when
     it does not; a later occurrence is H2 when the value recurs again
     and D when it is the last.  The path is mapped back with
-    labeled_motzkin_to_rgf as a defensive consistency check.
+    labeled_motzkin_to_rgf, which gives the word back exactly when no two
+    blocks cross (12323, stack mode) or nest (12332, queue mode).
     """
     _check_mode(mode)
     r = validate(word)
@@ -186,12 +190,6 @@ def rgf_to_labeled_motzkin(
         r = (1,) + tuple(v + 1 for v in r)  # an RGF, since r is one
     if not r:
         raise InvalidInputError("need a word of length >= 1")
-    if mode == "stack":
-        forbidden, contains = "12323", _contains_12323
-    else:
-        forbidden, contains = "12332", _contains_12332
-    if contains(r):
-        raise InvalidInputError(f"{r} contains {forbidden} ({mode} mode)")
 
     last = {v: i for i, v in enumerate(r)}
     steps: list[str] = []
@@ -208,6 +206,12 @@ def rgf_to_labeled_motzkin(
 
     back = labeled_motzkin_to_rgf(steps, mode)
     if back != r:
+        if mode == "stack":
+            forbidden, contains = "12323", _contains_12323
+        else:
+            forbidden, contains = "12332", _contains_12332
+        if contains(r):
+            raise InvalidInputError(f"{r} contains {forbidden} ({mode} mode)")
         raise MalformedInputError(f"replay of {r} diverged at {back}")
     return tuple(steps)
 

@@ -332,6 +332,15 @@ def _beta(mode: str, pattern: tuple[int, ...], reduced: bool) -> _Run:
     )
 
 
+def _takes(f: Callable[..., Any], *args: Any) -> bool:
+    """Whether f(*args) returns rather than refusing its input as invalid."""
+    try:
+        f(*args)
+    except InvalidInputError:
+        return False
+    return True
+
+
 def _beta_statistics(case: tuple[str, tuple[str, ...]]) -> bool:
     mode, path = case
     r = bijections.labeled_motzkin_to_rgf(path, mode)
@@ -568,6 +577,13 @@ _REGISTRY: tuple[Check, ...] = (
                _counts(lambda n: sum("H1" not in s
                                      for s in paths.enumerate_labeled_motzkin(n)),
                        lambda n: sequences.catalan(n)))),
+    Check("bij-domain-by-construction", "bijections", 8,
+          "psi, phi-inverse and beta-inverse take exactly the avoiders, n <= {bound}",
+          _every(_rgfs, lambda r: [  # one map per pattern of _RGF_SCANNED
+              _takes(bijections.rgf_to_dyck_path, r), _takes(bijections.rgf_to_sortable, r),
+              _takes(bijections.rgf_to_labeled_motzkin, r, "queue"),
+              _takes(bijections.rgf_to_labeled_motzkin, r, "stack"),
+          ] == [not rgf.rgf_contains(r, q) for q in _RGF_SCANNED], _word)),
     Check("bij-beta-statistics", "bijections", 7,
           "step counts transport to word statistics, length <= {bound}",
           _every(lambda n: product(("stack", "queue"), paths.enumerate_labeled_motzkin(n)),

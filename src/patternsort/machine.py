@@ -314,6 +314,8 @@ _PASSES: dict[Perm, tuple[_Pass, Callable[[Perm], bool]]] = {
     (3, 2, 1): _refer(_complemented(_farthest_output)),
     (2, 1): _refer(_s21_output),
 }
+# the row `_control` returns for each plain-int control of `_PASSES`
+_ROWS = {s: (s, *row) for s, row in _PASSES.items()}
 
 
 def _control(sigma: Iterable[int]) -> tuple[Perm, _Pass, Callable[[Perm], bool]]:
@@ -323,8 +325,8 @@ def _control(sigma: Iterable[int]) -> tuple[Perm, _Pass, Callable[[Perm], bool]]
     # a plain-int tuple that keys a fast pass is a permutation; bools, floats, int
     # subclasses and unhashables fail the type test first and are validated in full
     if 1 < len(s) < 4 and type(s[0]) is type(s[1]) is type(s[-1]) is int:
-        if row := _PASSES.get(s):
-            return s, *row
+        if row := _ROWS.get(s):
+            return row
     s = as_perm(s)
     if len(s) < 2:
         raise InvalidInputError(

@@ -9,8 +9,8 @@ height one or more.  A labeled path is stored as a tuple of step tokens
 
 Each family is one table of (step, needs height >= 1) pairs, listed in
 the order its paths are enumerated: U rises, D falls and every other
-step is level.  The enumerators walk the table and the validators check
-a path against it.
+step is level.  The enumerators walk the table, and the validators look
+each step of a path up in a dict read off it once.
 """
 
 from __future__ import annotations
@@ -28,37 +28,38 @@ MOTZKIN = (("D", True), ("H", False), ("U", False))
 LABELED = (("U", False), ("D", True), ("H0", False), ("H1", False), ("H2", True))
 
 LABELED_STEPS = tuple(t for t, _ in LABELED)
+# each family's steps to their move in height and, if they need height >= 1, their token
+_DYCK_MOVES, _LABELED_MOVES = (
+    {t: ((t == "U") - (t == "D"), t if lifted else "") for t, lifted in family}
+    for family in (DYCK, LABELED)
+)
 # every step of either table, longest first so the compact form reads H0 before H
 _TOKENS = dict.fromkeys(sorted({t for t, _ in MOTZKIN + LABELED}, key=lambda t: (-len(t), t)))
 _COMPACT = re.compile("|".join(_TOKENS) + "|.")  # "." takes an unknown character
 
 
-def _fault(steps: Sequence[str], family: Sequence[tuple[str, bool]]) -> str | None:
-    """The first way the steps break the family's table, or None.
+def _fault(steps: Sequence[str], moves: dict[str, tuple[int, str]]) -> str | None:
+    """The first way the steps break the family's moves, or None.
 
     The fault is worded as validate_labeled_motzkin reports it.  Steps
-    are compared by ==, so an unhashable token is merely unknown.
+    are looked up by hash, so an unhashable token is merely unknown.
     """
     h = 0
     for i, step in enumerate(steps, start=1):
-        for t, lifted in family:
-            if step == t:
-                break
-        else:
+        try:
+            move, needs = moves[step]
+        except (KeyError, TypeError):  # TypeError: an unhashable token
             return f"unknown labeled step {step!r} at position {i}"
-        if t == "U":
-            h += 1
-        elif t == "D":
-            h -= 1
-            if h < 0:
+        if needs and not h:
+            if move:
                 return f"path dips below the axis at position {i}"
-        elif lifted and h == 0:
-            return f"{t} at height zero at position {i}; {t} needs height >= 1"
+            return f"{needs} at height zero at position {i}; {needs} needs height >= 1"
+        h += move
     return None if h == 0 else f"path ends at height {h}, not 0"
 
 
 def is_dyck(path: str) -> bool:
-    return _fault(path, DYCK) is None
+    return _fault(path, _DYCK_MOVES) is None
 
 
 def validate_dyck(path: str) -> str:
@@ -88,7 +89,7 @@ def format_steps(steps: Sequence[str]) -> str:
 def validate_labeled_motzkin(steps: Sequence[str]) -> tuple[str, ...]:
     """Check step tokens, nonnegative heights, zero end, and H2 only above ground."""
     t = tuple(steps)
-    fault = _fault(t, LABELED)
+    fault = _fault(t, _LABELED_MOVES)
     if fault is not None:
         raise InvalidInputError(fault)
     return t

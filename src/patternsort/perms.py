@@ -364,10 +364,6 @@ def ltr_minima(w: Perm) -> list[tuple[int, int]]:
     return out
 
 
-def complement(w: Perm) -> Perm:
-    return tuple(map((len(w) + 1).__sub__, w))
-
-
 def reverse(w: Perm) -> Perm:
     return tuple(reversed(w))
 

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 from itertools import combinations, product
 from math import inf
 
@@ -158,6 +159,54 @@ def test_beta_reduced():
     assert rgf_to_labeled_motzkin(w, "stack", reduced=True) == steps
     with pytest.raises(InvalidInputError):
         labeled_motzkin_to_rgf(("H1",), "stack", reduced=True)
+
+
+# -- refusals by construction -----------------------------------------------
+
+# Each map that refuses a word by its construction, with a word of length n
+# whose one occurrence of the forbidden pattern ends at its last letter,
+# and what the refusal says the (unreduced) word contains.
+_REFUSALS = {
+    "psi": (rgf_to_dyck_path, lambda n: (*range(1, n - 1), n - 2, 1), "1221"),
+    "phi-inverse": (
+        rgf_to_sortable, lambda n: (*range(1, n - 2), n - 3, n - 2, 1), "12231"
+    ),
+    "beta-inverse-stack": (
+        partial(rgf_to_labeled_motzkin, mode="stack"),
+        lambda n: (*range(1, n - 1), 2, 3),
+        "12323 (stack mode)",
+    ),
+    "beta-inverse-queue": (
+        partial(rgf_to_labeled_motzkin, mode="queue"),
+        lambda n: (*range(1, n - 1), n - 2, 2),
+        "12332 (queue mode)",
+    ),
+    # reduced words contain 1212 (stack) or 1221 (queue)
+    "beta-inverse-stack-reduced": (
+        partial(rgf_to_labeled_motzkin, mode="stack", reduced=True),
+        lambda n: (*range(1, n - 1), 1, 2),
+        "12323 (stack mode)",
+    ),
+    "beta-inverse-queue-reduced": (
+        partial(rgf_to_labeled_motzkin, mode="queue", reduced=True),
+        lambda n: (*range(1, n - 1), n - 2, 1),
+        "12332 (queue mode)",
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [5, 10_000])
+@pytest.mark.parametrize("name", _REFUSALS)
+def test_refusal_at_the_last_letter_names_the_pattern(name, n):
+    call, build, contains = _REFUSALS[name]
+    w = build(n)
+    assert len(w) == n
+    call(w[:-1])  # the prefix is in the domain
+    with pytest.raises(InvalidInputError) as exc:  # not a MalformedInputError
+        call(w)
+    named = (1, *(v + 1 for v in w)) if "reduced" in name else w
+    assert str(exc.value) == f"{named} contains {contains}"
+    assert exc.value.__context__ is None and exc.value.__cause__ is None
 
 
 

@@ -10,7 +10,7 @@ from patternsort.errors import MalformedInputError
 
 # (checks, sha256) over (name, scope, passed, detail, counterexample) of
 # each result of run_checks("all", 6)
-REPORT_GOLDEN = (46, "b1b2a46423a669afc9af44e73c32b0fdcc30fe03a825aca762592a0a17983e23")
+REPORT_GOLDEN = (47, "3de4b22a18b22f8573efb92871616e8b4d7ea1817389bbbfc2b1c0f3045aa181")
 
 
 def test_scopes_cover_registry():
@@ -176,7 +176,12 @@ def _raise(exc):
             IndexError("boom"),
             ["machine-suffix-law", "grid-inversion-in-cell", "grid-structural-necessary"],
         ),
-        (bijections, "rgf_to_dyck_path", ValueError("boom"), ["bij-psi-roundtrip"]),
+        (
+            bijections,
+            "rgf_to_dyck_path",
+            ValueError("boom"),
+            ["bij-psi-roundtrip", "bij-domain-by-construction"],
+        ),
         (rgf, "alpha", TypeError("boom"), ["rgf-alpha-preserves-12321"]),
         (paths, "enumerate_motzkin", RuntimeError("boom"), ["seq-motzkin-counts"]),
         (machine, "stack_shape_check", ZeroDivisionError("boom"), ["machine-stack-shape"]),

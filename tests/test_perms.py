@@ -18,7 +18,6 @@ from patternsort.perms import (
     all_perms,
     as_perm,
     avoids,
-    complement,
     contains_classical,
     contains_mesh,
     first_occurrence,
@@ -421,9 +420,7 @@ def test_ltr_extrema():
 
 def test_symmetries():
     p = (2, 4, 1, 3)
-    assert complement(p) == (3, 1, 4, 2)
     assert reverse(p) == (3, 1, 4, 2)
-    assert complement(complement(p)) == p
 
 
 def test_colayered_word_avoids_213_and_132():
