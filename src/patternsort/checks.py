@@ -64,7 +64,7 @@ MAX_EQUIDISTRIBUTED_NINE = tuple(
     q for q in WILF_ELEVEN if q not in ((1, 2, 1, 3, 4), (1, 2, 2, 3, 4))
 )
 
-# the patterns whose pruned enumeration is compared with the naive filter
+# the patterns whose listing is compared with the naive filter, 1221 and 12231 by rgf._TREES
 _PRUNED = ((1, 2, 2, 1), (1, 2, 2, 3, 1), (1, 2, 3, 2, 1), (1, 2, 1, 2))
 
 # the patterns of rgf._contains_1221, _contains_12231, _contains_12332, _contains_12323

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, the one size guard and the one walk."""
+"""Exception types shared across the package, the one size guard and the walks."""
 
 from typing import Any, Callable, Iterable, Iterator
 
@@ -41,6 +41,24 @@ def walk(root: Any, children: Callable[[Any], Iterable], depth: int) -> Iterator
                 break
         else:
             stack.pop()
+
+
+def grow(root: Any, letters: Callable, step: Callable, n: int, leaves: Any = None) -> Iterator:
+    """The words of length n of a generating tree, by ``walk``.  A node is a word
+    and its state; its children append each c of ``letters(state)``, with state
+    ``step(state, c)``.  The last level builds no state: its words, or the
+    items ``leaves(state)`` lists, are read off the parents."""
+    if not n:
+        return iter(((),))
+
+    def children(node: tuple) -> Iterator[tuple]:
+        word, s = node
+        return ((word + (c,), step(s, c)) for c in letters(s))
+
+    nodes = walk(((), root), children, n - 1)
+    if leaves is None:
+        return (word + (c,) for word, s in nodes for c in letters(s))
+    return (item for _, s in nodes for item in leaves(s))
 
 
 class InsertRejected(Exception):

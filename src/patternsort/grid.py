@@ -1,21 +1,22 @@
 """Grid decomposition by left-to-right minima, and the recursive generator.
 
-A permutation splits along its ltr-minima m_1 > ... > m_k: block B_j
-holds the non-minima positioned between m_j and the next minimum,
-horizontal strip H_i holds the values strictly between m_i and m_{i-1}
-(with m_0 infinite), and cell C_{i,j} is their intersection.  The core
-is the word of non-minima.  All of it is read off the strip word, the
-row of each entry in position order.  For sortable permutations the
-last column carries a notion of active cells, and appending one new
-element per active cell (plus a brand new minimum) generates every
-sortable permutation of the next length exactly once.  GrowthState
-carries just what such a step needs, in place: the value order as a
-linked list over positions (every insertion lands directly above its
-pivot, so no existing entry changes), the ltr-minima and the last column
-as positions, and the floor of the active cells, kept up to date as
-entries arrive.  A step costs amortised O(1) instead of a fresh
-decomposition, and the permutation, its minima and its last column are
-read off the list only when asked for.
+A permutation splits along its ltr-minima m_1 > ... > m_k: block B_j holds
+the non-minima positioned between m_j and the next minimum, horizontal strip
+H_i holds the values strictly between m_i and m_{i-1} (with m_0 infinite),
+and cell C_{i,j} is their intersection.  The core is the word of non-minima.
+All of it is read off the strip word, the row of each entry in position
+order.  For sortable permutations the last column carries a notion of active
+cells, and appending one new element per active cell (plus a brand new
+minimum) generates every sortable permutation of the next length exactly
+once.  GrowthState carries just what such a step needs, in place: the value
+order as a linked list over positions (every insertion lands directly above
+its pivot, so no existing entry changes), the ltr-minima and the last column
+as positions, and the floor of the active cells, kept up to date as entries
+arrive.  A step costs amortised O(1) instead of a fresh decomposition, and
+the permutation, its minima and its last column are read off the list only
+when asked for.  The listings walk the tree with the rows in ascending order,
+which lists the row words as the 12231-avoiding RGFs in lex order, and read
+the last level off the parents.
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ from __future__ import annotations
 from collections import Counter
 from itertools import chain
 from math import inf
-from operator import itemgetter
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .errors import InsertRejected, InvalidInputError, check_size, walk
+from .errors import InsertRejected, InvalidInputError, check_size, grow
 from .machine import DEFAULT_PERM_CAP, is_sigma_sortable
 from .perms import Perm, _contains_231, as_perm, ltr_minima, spell
 
@@ -212,8 +212,8 @@ class GrowthState:
     with the floor at max(1, high); it then rises to the row of each
     last-column entry that a smaller one follows.  ``_stack`` holds the
     occupied last-column rows r >= floor, the largest at the bottom and
-    the row of the latest entry on top, and ``_cells`` maps each occupied
-    row to its latest entry, the pivot of a consecutive insertion.
+    the row of the latest entry on top, and ``_cells`` maps each of them,
+    the rows of a consecutive insertion, to its pivot, their latest entry.
 
     ``perm``, ``minima`` and ``last`` are views, read off the list when
     asked for.
@@ -281,6 +281,13 @@ class GrowthState:
         """
         return range(self._floor, len(self._minima) + 1)
 
+    def _leaves(self) -> list[Perm]:
+        """The children's permutations, in row order: above a pivot of value v
+        (``_step``'s), the new entry takes v + 1 and lifts every larger value."""
+        p, cells, minima = self.perm, self._cells, self._minima
+        pivots = [p[cells.get(i, minima[i - 1])] for i in self.active()]
+        return [(*[x + (x > v) for x in p], v + 1) for v in (*pivots, 0)]
+
     def _inactive(self, i: int) -> InsertRejected:
         return InsertRejected("inactive", f"cell ({i},{len(self._minima)}) is not active")
 
@@ -307,7 +314,8 @@ class GrowthState:
         self._cells[i] = x
         stack = self._stack
         while stack and stack[-1] < i:
-            self._floor = stack.pop()  # each pop is larger, none below the floor
+            self._floor = r = stack.pop()  # each pop is larger, none below the floor
+            del self._cells[r]
         if not stack or stack[-1] > i:
             stack.append(i)
 
@@ -316,10 +324,10 @@ class GrowthState:
 
         Row k + 1 is a new minimum, at the bottom of the value order.  Any
         other row must be active, and gets its one legal insertion: the
-        successor of the cell's latest entry ("cons") when the cell is
-        nonempty and the permutation's last entry sits in row i or above,
-        and a new smallest entry of the cell ("min") otherwise.  The new
-        entry goes directly above that pivot.
+        successor of the cell's latest entry ("cons") when the row is on the
+        stack (its cell is nonempty and the last entry sits in row i or
+        above), and a new smallest entry of the cell ("min") otherwise.  The
+        new entry goes directly above that pivot.
         """
         up = self._up
         x = len(up)
@@ -332,7 +340,7 @@ class GrowthState:
         if not self._floor <= i <= k:
             raise self._inactive(i)
         pivot = self._cells.get(i)
-        if pivot is not None and self._stack[-1] <= i:  # the latest entry's row
+        if pivot is not None:  # the row is on the stack
             legal = "cons"
         else:
             legal, pivot = "min", minima[i - 1]
@@ -371,7 +379,7 @@ class GrowthState:
             row = self._stack[-1] if self._stack else k  # the latest entry's row
             if legal == "cons":
                 raise InsertRejected("illegal-op", f"last entry sits in row {row} <= {i}")
-            if i not in self._cells:
+            if all(r != i for _, r in self.last):
                 raise InsertRejected("empty-cell", f"cell ({i},{k}) is empty")
             raise InsertRejected("illegal-op", f"last entry sits in row {row} > {i}")
         return c
@@ -417,11 +425,16 @@ def children(pi: Iterable[int]) -> list[tuple[InsertionKind, Perm]]:
     return [(kind, s.perm) for kind, s in _state(pi).children()]
 
 
+def _grow(n: int, leaves: Callable | None = None) -> Iterator:
+    """The tree by errors.grow, rows floor..k + 1 ascending: the 12231-avoiders in lex order."""
+    return grow(GrowthState(), lambda s: range(s._floor, len(s._minima) + 2),
+                lambda s, i: s._child(i)[1], n, leaves)
+
+
 def generate_sortable(n: int, cap: int = DEFAULT_PERM_CAP) -> list[Perm]:
-    """Sort_n(132) grown depth first from the empty permutation, by errors.walk."""
+    """Sort_n(132) grown by `_grow`, each leaf read off its parent state."""
     check_size(n, cap, f"generation at n={n}")
-    states = walk(GrowthState(), lambda s: map(itemgetter(1), s.children()), n)
-    return sorted(s.perm for s in states)
+    return sorted(_grow(n, GrowthState._leaves))
 
 
 def minima_distribution(n: int, cap: int = DEFAULT_PERM_CAP) -> Counter[int]:

@@ -10,14 +10,19 @@ Matching compares letters only by their order, so neither the word nor the
 pattern needs standardizing first: 3341 and 2231 are the same pattern, and
 2231 and 12231 may be written interchangeably wherever deleting a forced
 prefix does not matter.
+
+The avoiders of 1221 and of 12231 grow by their generating trees, with an
+O(1) step and no matcher; those of any other pattern by the pruned walk.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import reduce
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InvalidInputError, check_size, walk
+from .errors import InvalidInputError, check_size, grow, walk
+from .grid import _grow
 from .perms import _kernel, first_occurrence, spell
 
 Rgf = tuple[int, ...]
@@ -166,17 +171,29 @@ def enumerate_rgfs(n: int, cap: int = DEFAULT_RGF_CAP) -> Iterator[Rgf]:
     return _walk(n, cap)
 
 
+def _step_1221(sites: range, c: int) -> range:
+    """The active sites t..max+1 after c: c is the new t if c <= max, else the new max."""
+    return range(c, sites.stop) if c + 2 <= sites.stop else range(sites.start, c + 2)
+
+
+# patterns, by tie-aware standardization, listed by generating trees with O(1) steps
+_TREES = {(1, 2, 2, 1): lambda n: grow(range(1, 2), iter, _step_1221, n), (1, 2, 2, 3, 1): _grow}
+
+
 def enumerate_avoiders(
     n: int, pattern: Sequence[int], cap: int = DEFAULT_RGF_CAP
 ) -> list[Rgf]:
     """All length-n RGFs avoiding the (standardized) pattern, lex order.
 
-    The naive filter over all RGFs is the oracle the pruned walk is
-    checked against (the rgf-pruned-vs-naive check).
+    A pattern in `_TREES` grows by its tree, any other by the pruned walk;
+    the naive filter over all RGFs is their oracle (rgf-pruned-vs-naive).
     """
     if not pattern:
         raise InvalidInputError("empty pattern")
-    return list(_walk(n, cap, pattern))
+    check_size(n, cap, f"RGF enumeration at n={n}")
+    rank = {v: r for r, v in enumerate(sorted(set(pattern)), start=1)}
+    tree = _TREES.get(tuple(rank[v] for v in pattern))
+    return list(_walk(n, cap, pattern) if tree is None else tree(n))
 
 
 def rgf_to_partition(word: Iterable[int]) -> tuple[tuple[int, ...], ...]:
@@ -245,21 +262,12 @@ def is_weakly_increasing(seq: Sequence[int]) -> bool:
 
 
 def active_sites_1221(word: Iterable[int]) -> range:
-    """Letters whose appending keeps the word 1221-avoiding: t..max+1.
-
-    t is the largest letter occurring at least twice, or 1 when every
-    letter is distinct.  Input must itself avoid 1221.
-    """
+    """Letters whose appending keeps the word 1221-avoiding: t..max+1, where t is
+    the largest repeated letter, or 1 if none.  Input must itself avoid 1221."""
     w = validate(word)
     if _contains_1221(w):
         raise InvalidInputError("word contains 1221; active sites are undefined")
-    mx, t = 0, 1
-    for v in w:  # on an RGF a letter is a repeat iff it is <= the running maximum
-        if v > mx:
-            mx = v
-        elif v > t:
-            t = v
-    return range(t, mx + 2)
+    return reduce(_step_1221, w, range(1, 2))
 
 
 def max_distribution(

@@ -11,6 +11,7 @@ from patternsort.grid import (
     active_cells,
     children,
     decompose,
+    generate_sortable,
     insert_cons,
     insert_min,
     insert_new_minimum,
@@ -20,6 +21,7 @@ from patternsort.grid import (
 )
 from patternsort.machine import enumerate_sortable, is_sigma_sortable
 from patternsort.perms import all_perms, avoids, ltr_minima, standardize
+from patternsort.rgf import enumerate_avoiders
 
 WORKED = (13, 14, 15, 10, 12, 6, 7, 8, 11, 9, 3, 1, 4, 5, 2)
 
@@ -302,3 +304,12 @@ def test_seeded_walk_round_trips_at_length_200():
     assert kinds == {"new-min", "min", "cons"}
     assert is_sigma_sortable(p)
     assert rgf_to_sortable(sortable_to_rgf(p)) == p
+
+
+def test_generate_sortable_reads_each_leaf_off_its_parent():
+    # the leaf read at n = 10 against phi-inverse of the 12231-avoiders; the
+    # grid-generator-equivalence check is the brute-force oracle up to n = 8
+    level = generate_sortable(10)
+    assert len(level) == 51822
+    assert all(a < b for a, b in zip(level, level[1:]))
+    assert level == sorted(map(rgf_to_sortable, enumerate_avoiders(10, (1, 2, 2, 3, 1))))

@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+from patternsort import rgf
 from patternsort.checks import _REGISTRY
 from patternsort.errors import InvalidInputError, ResourceLimitError
 from patternsort.perms import parse_word
@@ -117,6 +118,26 @@ def test_avoiders_lex_and_pruned():
     # the empty word avoids every nonempty pattern; no other word avoids 1
     assert enumerate_avoiders(0, (1,)) == [()]
     assert enumerate_avoiders(2, (1,)) == []
+
+
+def test_tree_patterns_match_the_naive_filter(monkeypatch):
+    # every spelling of 1221 and 12231 grows by its generating tree, and the
+    # near misses by the pruned walk; both equal the naive filter
+    trees = ((1, 2, 2, 1), (2, 3, 3, 2), (1, 5, 5, 1), (1, 2, 2, 3, 1), (2, 4, 4, 6, 2))
+    misses = ((1, 2, 1, 2), (2, 1, 1, 2), (1, 2, 2, 1, 1), (1, 2, 3, 3, 1))
+    for patterns, nmax in ((trees, 9), (misses, 8)):
+        for n in range(nmax + 1):
+            words = list(enumerate_rgfs(n))
+            for q in patterns:
+                naive = [w for w in words if not rgf_contains(w, q)]
+                assert enumerate_avoiders(n, q) == naive, (q, n)
+    # only the near misses reach the matcher's walk
+    monkeypatch.setattr(rgf, "_walk", None)
+    for q in trees:
+        assert len(enumerate_avoiders(6, q)) == (132 if len(q) == 4 else 188), q
+    for q in misses:
+        with pytest.raises(TypeError):
+            enumerate_avoiders(6, q)
 
 
 def test_enumeration_caps():
