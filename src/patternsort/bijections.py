@@ -2,9 +2,10 @@
 growth functions, Dyck paths, and labeled Motzkin paths.
 
 Each map comes with its inverse.  Input outside a map's domain raises
-InvalidInputError; φ⁻¹, ψ and β⁻¹ find that out in their own construction
-and only then scan for the pattern to name it.  Defensive replay
-mismatches (which no input can trigger) raise MalformedInputError.
+InvalidInputError; φ⁻¹, ψ, ψ⁻¹, β and β⁻¹ find that out in the pass that
+builds their output, and only then scan or validate to word the refusal.
+Defensive replay mismatches (which no input can trigger) raise
+MalformedInputError.
 """
 
 from __future__ import annotations
@@ -103,19 +104,30 @@ def dyck_path_to_rgf(path: str) -> Rgf:
 
     The number q of D's just before each U is the child the letter
     chose (see rgf_to_dyck_path): with maximum M and run r before it,
-    the letter is M + 1 for q = 0 and M + q - r otherwise.
+    the letter is M + 1 for q = 0 and M + q - r otherwise.  The run is
+    the height, so only a path with another letter, a q above the run or
+    a last run that misses 0 is passed to validate_dyck, to word the refusal.
     """
-    validate_dyck(path)
+    letters = isinstance(path, str) and path.count("D") + path.count("U") == len(path)
+    *ups, tail = path.split("U") if letters else ("",)
     word: list[int] = []
     mx = run = 0
-    for ds in path.split("U")[:-1]:
+    ok = False
+    for ds in ups:
         q = len(ds)
+        if q > run:  # the D's dip below the axis
+            break
         if q:
             word.append(mx + q - run)
         else:
             mx += 1
             word.append(mx)
         run += 1 - q
+    else:
+        ok = letters and len(tail) == run
+    if not ok:
+        validate_dyck(path)
+        raise MalformedInputError(f"construction refused a Dyck path: {path!r}")
     out = tuple(word)
     try:
         validate(out)
@@ -144,31 +156,42 @@ def labeled_motzkin_to_rgf(
     maximum without storing; H1 appends 1; H2 appends the accessible
     element without removing it.  The store is a stack or a queue
     depending on mode.  Reduced form requires an H1-free path and
-    returns the word minus its leading 1, all letters decremented.
+    returns the word minus its leading 1, all letters decremented.  The
+    store's size is the height, so only a path with an unknown token, a D
+    or H2 on an empty store, or a non-empty store at its end is passed to
+    validate_labeled_motzkin, to word the refusal.
     """
     _check_mode(mode)
-    p = validate_labeled_motzkin(steps)
-    if reduced and "H1" in p:
-        raise InvalidInputError("reduced form is only defined for H1-free paths")
+    p = tuple(steps)
     word = [1]
     store: deque[int] = deque()
     take, top = (store.pop, -1) if mode == "stack" else (store.popleft, 0)
     mx = 1
+    ok = False
     for step in p:
         if step == "U":
             mx += 1
             word.append(mx)
             store.append(mx)
-        elif step == "D":
+        elif step == "D" and store:
             word.append(take())
         elif step == "H0":
             mx += 1
             word.append(mx)
         elif step == "H1":
             word.append(1)
-        else:  # H2
+        elif step == "H2" and store:
             word.append(store[top])
+        else:
+            break  # an unknown token, or a D or H2 at height 0
+    else:
+        ok = not store  # the path ends at height 0
+    if not ok:
+        validate_labeled_motzkin(p)
+        raise MalformedInputError(f"construction refused a labeled Motzkin path: {p}")
     if reduced:
+        if "H1" in p:
+            raise InvalidInputError("reduced form is only defined for H1-free paths")
         return tuple(v - 1 for v in word[1:])
     return tuple(word)
 
@@ -180,9 +203,11 @@ def rgf_to_labeled_motzkin(
 
     A 1 is H1; a first occurrence is U when the value recurs and H0 when
     it does not; a later occurrence is H2 when the value recurs again
-    and D when it is the last.  The path is mapped back with
-    labeled_motzkin_to_rgf, which gives the word back exactly when no two
-    blocks cross (12323, stack mode) or nest (12332, queue mode).
+    and D when it is the last.  The loop keeps labeled_motzkin_to_rgf's
+    store, and the path maps back to the word exactly when each D and H2
+    letter is the accessible element: when no two blocks cross (12323,
+    stack mode) or nest (12332, queue mode).  Only a word that fails is
+    replayed and scanned for the pattern, to word the refusal.
     """
     _check_mode(mode)
     r = validate(word)
@@ -193,6 +218,10 @@ def rgf_to_labeled_motzkin(
 
     last = {v: i for i, v in enumerate(r)}
     steps: list[str] = []
+    # more U's than D's precede a D or H2 letter, so the store is never empty there
+    store: deque[int] = deque()
+    take, top = (store.pop, -1) if mode == "stack" else (store.popleft, 0)
+    same = True
     mx = 1
     for i in range(1, len(r)):
         v = r[i]
@@ -200,12 +229,20 @@ def rgf_to_labeled_motzkin(
             steps.append("H1")
         elif v > mx:  # on an RGF, a first occurrence is a new maximum
             mx = v
-            steps.append("U" if last[v] > i else "H0")
+            if last[v] > i:
+                steps.append("U")
+                store.append(v)
+            else:
+                steps.append("H0")
+        elif last[v] > i:
+            steps.append("H2")
+            same = same and store[top] == v
         else:
-            steps.append("H2" if last[v] > i else "D")
+            steps.append("D")
+            same = take() == v and same
 
-    back = labeled_motzkin_to_rgf(steps, mode)
-    if back != r:
+    if not same:
+        back = labeled_motzkin_to_rgf(steps, mode)
         if mode == "stack":
             forbidden, contains = "12323", _contains_12323
         else:

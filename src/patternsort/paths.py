@@ -59,7 +59,7 @@ def _fault(steps: Sequence[str], moves: dict[str, tuple[int, str]]) -> str | Non
 
 
 def is_dyck(path: str) -> bool:
-    return _fault(path, _DYCK_MOVES) is None
+    return isinstance(path, str) and _fault(path, _DYCK_MOVES) is None
 
 
 def validate_dyck(path: str) -> str:

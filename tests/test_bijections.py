@@ -23,7 +23,15 @@ from patternsort import bijections
 from patternsort.errors import InvalidInputError, MalformedInputError
 from patternsort.grid import children
 from patternsort.machine import enumerate_sortable
-from patternsort.paths import LABELED_STEPS, dyck_children, final_descent_length
+from patternsort.paths import (
+    LABELED_STEPS,
+    dyck_children,
+    enumerate_dyck,
+    enumerate_labeled_motzkin,
+    final_descent_length,
+    validate_dyck,
+    validate_labeled_motzkin,
+)
 from patternsort.perms import _contains_321
 from patternsort.rgf import (
     _contains_12231,
@@ -208,6 +216,92 @@ def test_refusal_at_the_last_letter_names_the_pattern(name, n):
     assert str(exc.value) == f"{named} contains {contains}"
     assert exc.value.__context__ is None and exc.value.__cause__ is None
 
+
+
+def _refusal(call):
+    """The type and message of what the call raises, or None if it returns."""
+    try:
+        call()
+    except InvalidInputError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+@pytest.mark.parametrize("mode", ["stack", "queue"])
+def test_beta_refuses_exactly_as_its_reference(mode, reduced):
+    # the oracle: the path validator, then reduced form's H1 rule
+    def oracle(p):
+        validate_labeled_motzkin(p)
+        if reduced and "H1" in p:
+            raise InvalidInputError("reduced form is only defined for H1-free paths")
+
+    tokens = (*LABELED_STEPS, "H", ["U"])  # a Motzkin step and an unhashable token
+    mapped = 0
+    for n in range(6):
+        for p in product(tokens, repeat=n):
+            want = _refusal(lambda: oracle(p))
+            if want is not None:
+                assert _refusal(lambda: labeled_motzkin_to_rgf(p, mode, reduced)) == want, p
+                continue
+            w = labeled_motzkin_to_rgf(p, mode, reduced)
+            assert rgf_to_labeled_motzkin(w, mode, reduced) == p
+            mapped += 1
+    paths = (p for n in range(6) for p in enumerate_labeled_motzkin(n))
+    assert mapped == sum(1 for p in paths if not (reduced and "H1" in p))
+
+
+def test_psi_inverse_refuses_exactly_as_its_reference():
+    strings = ("".join(t) for n in range(9) for t in product("UDx ", repeat=n))
+    mapped = 0
+    for path in (*strings, ["U", "D"], ("U", "D"), b"UD", None):
+        want = _refusal(lambda: validate_dyck(path))
+        if want is not None:
+            assert _refusal(lambda: dyck_path_to_rgf(path)) == want, path
+            continue
+        assert rgf_to_dyck_path(dyck_path_to_rgf(path)) == path
+        mapped += 1
+    assert mapped == 1 + 1 + 2 + 5 + 14  # the Dyck paths of semilength <= 4
+
+
+def test_the_references_sit_only_on_the_refusal_path(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a reference ran on input in the domain")
+
+    beta = bijections.labeled_motzkin_to_rgf
+    for name in ("labeled_motzkin_to_rgf", "validate_labeled_motzkin", "validate_dyck"):
+        monkeypatch.setattr(bijections, name, fail)
+    for n in range(8):
+        for p in enumerate_labeled_motzkin(n):
+            for mode, reduced in product(("stack", "queue"), (False, True)):
+                if not (reduced and "H1" in p):
+                    w = beta(p, mode, reduced)
+                    assert rgf_to_labeled_motzkin(w, mode, reduced) == p
+        for path in enumerate_dyck(n):
+            assert rgf_to_dyck_path(dyck_path_to_rgf(path)) == path
+
+
+@pytest.mark.parametrize(
+    "word, mode, reduced, back",
+    [
+        ((1, 2, 3, 2, 3), "stack", False, (1, 2, 3, 3, 2)),
+        ((1, 2, 3, 3, 2), "queue", False, (1, 2, 3, 2, 3)),
+        ((1, 2, 1, 2), "stack", True, (1, 2, 3, 3, 2)),
+        ((1, 2, 1, 3, 1, 2, 3), "stack", False, (1, 2, 1, 3, 1, 3, 2)),
+        # only an H2 letter misses the accessible element; every D takes its own
+        ((1, 2, 3, 2, 3, 2), "stack", False, (1, 2, 3, 3, 3, 2)),
+        ((1, 2, 3, 3, 2, 3), "queue", False, (1, 2, 3, 2, 2, 3)),
+    ],
+)
+def test_beta_inverse_without_its_scan_reports_the_replay(monkeypatch, word, mode, reduced, back):
+    # with the pattern scan blind, a crossing or nesting word is a replay
+    # gone wrong, and the message names the word the path replays to
+    for name in ("_contains_12323", "_contains_12332"):
+        monkeypatch.setattr(bijections, name, lambda r: False)
+    r = (1, *(v + 1 for v in word)) if reduced else word
+    with pytest.raises(MalformedInputError) as exc:
+        rgf_to_labeled_motzkin(word, mode, reduced)
+    assert str(exc.value) == f"replay of {r} diverged at {back}"
 
 
 # -- weak-remainder map onto 321-avoiders -----------------------------------

@@ -7,7 +7,7 @@ from unittest import mock
 
 import pytest
 
-from patternsort import bijections, grid, machine, perms, rgf, sequences
+from patternsort import bijections, grid, machine, paths, perms, rgf, sequences
 from patternsort.cli import main
 from patternsort.errors import InvalidInputError
 
@@ -46,6 +46,23 @@ _CASES = {
     "labeled-motzkin-of-empty": (
         lambda: bijections.rgf_to_labeled_motzkin(()),
         (InvalidInputError, "need a word of length >= 1"),
+    ),
+    # a Dyck path is a str: a list of its steps is refused, not split
+    "dyck-path-to-rgf-of-a-list": (
+        lambda: bijections.dyck_path_to_rgf(["U", "D"]),
+        (InvalidInputError, "not a Dyck path: ['U', 'D']"),
+    ),
+    "dyck-children-of-a-list": (
+        lambda: paths.dyck_children(["U", "D"]),
+        (InvalidInputError, "not a Dyck path: ['U', 'D']"),
+    ),
+    "dyck-parent-of-a-tuple": (
+        lambda: paths.dyck_parent(("U", "D")),
+        (InvalidInputError, "not a Dyck path: ('U', 'D')"),
+    ),
+    "double-rises-of-a-list": (
+        lambda: paths.double_rises(["U", "D"]),
+        (InvalidInputError, "not a Dyck path: ['U', 'D']"),
     ),
     "all-perms-negative": (
         lambda: list(perms.all_perms(-1)),

@@ -30,6 +30,7 @@ def test_is_dyck():
     assert not is_dyck("DU")
     assert not is_dyck("UDD")
     assert not is_dyck("UDU")
+    assert not is_dyck(["U", "D"]) and not is_dyck(("U", "D"))  # a path is a str
 
 
 def test_parse_steps():
