@@ -222,9 +222,9 @@ def _do_enumerate(args) -> tuple[str | dict, int]:
 
 
 def _decompose(args: argparse.Namespace, as_json: bool) -> tuple[str | dict, int]:
-    p = parse_word(_object(args, "--perm", args.verb))  # decompose validates it
-    d = grid.decompose(p)
+    p = parse_word(_object(args, "--perm", args.verb))  # the library validates it
     if as_json:
+        d = grid.decompose(p)
         return {
             "perm": format_perm(p),
             "minima": [[pos, val] for pos, val in d.minima],
@@ -233,13 +233,7 @@ def _decompose(args: argparse.Namespace, as_json: bool) -> tuple[str | dict, int
             "cells": {f"{i},{j}": list(c) for (i, j), c in sorted(d.cells.items())},
             "core": list(d.core),
         }, 0
-    lines = [
-        f"perm: {format_perm(p)}",
-        f"minima: {format_perm(d.minima_values)}",
-        f"core: {format_perm(d.core) if d.core else '(empty)'}",
-    ]
-    lines.extend(d.describe())
-    return "\n".join(lines), 0
+    return "\n".join([f"perm: {format_perm(p)}", *grid.decomposition_lines(p)]), 0
 
 
 def _parse_dyck(text: str) -> str:

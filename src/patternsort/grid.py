@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import InsertRejected, InvalidInputError, check_size, grow
 from .machine import DEFAULT_PERM_CAP, is_sigma_sortable
-from .perms import Perm, _contains_231, as_perm, ltr_minima, spell
+from .perms import Perm, _contains_231, as_perm, letter_texts, ltr_minima, spell
 
 
 class GridDecomposition(NamedTuple):
@@ -49,22 +49,28 @@ class GridDecomposition(NamedTuple):
 
     def describe(self) -> list[str]:
         """One line per horizontal strip, nonempty cells delimited."""
-        minima = spell([v for _, v in self.minima])
-        parts: list[list[str]] = [[] for _ in minima]
+        rows: list[list[tuple[int, list[str]]]] = [[] for _ in self.minima]
         cells = sorted(self.cells.items())
         # one spell call for every cell, whose letters average under two
         texts = spell([v for _, c in cells for v in c])
         at = 0
         for (i, j), c in cells:
             end = at + len(c)
-            parts[i - 1].append(f"C({i},{j})={','.join(texts[at:end])}")
+            rows[i - 1].append((j, texts[at:end]))
             at = end
-        lines = []
-        top = "inf"
-        for i, (m, row) in enumerate(zip(minima, parts), 1):
-            lines.append(f"row {i} ({m}..{top}): {' | '.join(row) or '(no cells)'}")
-            top = m
-        return lines
+        return _row_lines(spell(self.minima_values), rows)
+
+
+def _row_lines(minima: list[str], rows: list[list[tuple[int, list[str]]]]) -> list[str]:
+    """The line of each row i: its values' range and its cells, each
+    given as (column j, letter texts) in column order."""
+    lines = []
+    top = "inf"
+    for i, (m, row) in enumerate(zip(minima, rows), 1):
+        cells = " | ".join([f"C({i},{j})={','.join(c)}" for j, c in row])
+        lines.append(f"row {i} ({m}..{top}): {cells or '(no cells)'}")
+        top = m
+    return lines
 
 
 def strip_word(p: Perm) -> tuple[int, ...]:
@@ -117,6 +123,39 @@ def decompose(pi: Iterable[int]) -> GridDecomposition:
         dict(zip(cells, map(tuple, cells.values()))),
         tuple(chain.from_iterable(blocks)),  # blocks run in position order
     )
+
+
+def decomposition_lines(pi: Iterable[int]) -> list[str]:
+    """The minima, core and row lines of ``decompose(pi)``, read off the
+    strip word in one pass: a block's entries follow its minimum, so each
+    row's cells arrive in column order, and no decomposition is built."""
+    p = as_perm(pi)
+    if not p:
+        raise InvalidInputError("cannot decompose the empty permutation")
+    name = letter_texts(len(p))
+    minima: list[str] = []
+    core: list[str] = []
+    rows: list[list[tuple[int, list[str]]]] = []
+    j = 0  # the current column: the minima read so far
+    for x, i in zip(p, strip_word(p)):
+        t = name[x]
+        if i > j:  # a first letter i is the i-th minimum
+            j = i
+            minima.append(t)
+            rows.append([])
+            opened: dict[int, list[str]] = {}  # column j's cell in each row
+            continue
+        core.append(t)
+        cell = opened.get(i)
+        if cell is None:
+            opened[i] = cell = []
+            rows[i - 1].append((j, cell))
+        cell.append(t)
+    return [
+        f"minima: {' '.join(minima)}",
+        f"core: {' '.join(core) or '(empty)'}",
+        *_row_lines(minima, rows),
+    ]
 
 
 class StructuralReport(NamedTuple):

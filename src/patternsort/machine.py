@@ -45,9 +45,10 @@ A pass is fixed by its input and its output, so a trace (`MachineTrace`)
 holds just those two and the fast passes record nothing: the top of the
 stack pops exactly when it is the next output letter, since pushing over
 it would bury it.  `_moves` replays a pass by that rule, yielding each
-event with the stack depth after it, to the text trace, the event log and
-the shape check.  `_generic_pass` has the generic machine record its own
-events and is the reference the replay is cross-checked against.
+event with the stack depth after it, to the event log and the shape
+check; the text trace replays it inline, building no event.
+`_generic_pass` has the generic machine record its own events and is the
+reference both replays are cross-checked against.
 """
 
 from __future__ import annotations
@@ -102,14 +103,25 @@ class MachineTrace(NamedTuple):
         return tuple(events)
 
     def as_lines(self) -> list[str]:
-        """One text line per event, each stack text built from the one below it."""
-        name = letter_texts(len(self.output))  # name[v] == str(v)
-        texts = ["(empty)"] * (len(self.output) + 1)  # texts[d]: the stack of depth d, top first
+        """One line per event, replayed by `_moves`' rule; a stack text extends the one below."""
+        out = self.output
+        name = letter_texts(len(out))  # name[v] == str(v)
+        texts = ["(empty)"] * (len(out) + 1)  # texts[d]: the stack of depth d, top first
+        stack = [0] * (len(out) + 1)  # stack[1..d], bottom to top; stack[0] is no letter
         lines = []
-        for op, v, d in _moves(self.perm, self.output):
-            if op == "PUSH":
-                texts[d] = f"{name[v]},{texts[d - 1]}" if d > 1 else name[v]
-            lines.append(f"{op} {name[v]} | stack: {texts[d]}")
+        d = k = 0  # the depth, and the output letters popped so far
+        for x in self.perm:
+            while stack[d] == out[k]:
+                d -= 1
+                lines.append(f"POP {name[out[k]]} | stack: {texts[d]}")
+                k += 1
+            d += 1
+            stack[d] = x
+            texts[d] = t = f"{name[x]},{texts[d - 1]}" if d > 1 else name[x]
+            lines.append(f"PUSH {name[x]} | stack: {t}")
+        for v in out[k:]:
+            d -= 1
+            lines.append(f"POP {name[v]} | stack: {texts[d]}")
         return lines
 
     def as_dicts(self) -> list[dict]:
@@ -168,8 +180,14 @@ def _moves(pi: Perm, out: Perm) -> Iterator[tuple[str, int, int]]:
 
 def _nearest_output(pi: Perm) -> Perm:
     """The 132 pass.  m[d] is the largest S[i] < S[j] with i < j <= d, 0
-    when none; a bit set of the stack's values gives each new top's
-    largest smaller value."""
+    when none; a bit set of the stack's values gives a new top's largest
+    smaller value.  The query runs only when the top S[d] is below x.
+    m[d] < S[d], since S[d] was pushed only once m had fallen below it
+    and its largest smaller value lies below it too; and no stack value
+    lies strictly between m[d] and S[d], since one under S[d] would be
+    an S[i] < S[d] above m[d].  So under a larger top the query would
+    answer at most m, and over a smaller one it answers at least
+    S[d] > m, which becomes m with no comparison."""
     stack, ms = [0] * (len(pi) + 1), [0] * (len(pi) + 1)
     output: list[int] = []
     d = m = 0  # the depth, and m of the top level
@@ -181,9 +199,8 @@ def _nearest_output(pi: Perm) -> Perm:
             d -= 1
             m = ms[d]
         bit = 1 << x
-        below = (held & (bit - 1)).bit_length() - 1
-        if below > m:
-            m = below
+        if stack[d] < x:
+            m = (held & (bit - 1)).bit_length() - 1
         held |= bit
         d += 1
         stack[d], ms[d] = x, m
@@ -247,9 +264,8 @@ def _nearest_sorts(pi: Perm) -> bool:
             d -= 1
             m = ms[d]
         bit = 1 << x
-        below = (held & (bit - 1)).bit_length() - 1
-        if below > m:
-            m = below
+        if stack[d] < x:
+            m = (held & (bit - 1)).bit_length() - 1
         held |= bit
         d += 1
         stack[d], ms[d] = x, m

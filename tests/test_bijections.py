@@ -39,6 +39,7 @@ from patternsort.rgf import (
     enumerate_avoiders,
     enumerate_rgfs,
     rgf_contains,
+    validate,
 )
 
 WORKED_PERM = (13, 14, 15, 10, 12, 6, 7, 8, 11, 9, 3, 1, 4, 5, 2)
@@ -262,6 +263,19 @@ def test_psi_inverse_refuses_exactly_as_its_reference():
         assert rgf_to_dyck_path(dyck_path_to_rgf(path)) == path
         mapped += 1
     assert mapped == 1 + 1 + 2 + 5 + 14  # the Dyck paths of semilength <= 4
+
+
+def test_psi_inverse_needs_no_output_check():
+    # the proof in dyck_path_to_rgf's docstring, which replaced its checks of
+    # its own output: every Dyck path maps to a 1221-free RGF that psi maps back
+    mapped = 0
+    for n in range(11):
+        for path in enumerate_dyck(n):
+            r = dyck_path_to_rgf(path)
+            assert validate(r) == r and not rgf_contains(r, (1, 2, 2, 1)), path
+            assert rgf_to_dyck_path(r) == path
+            mapped += 1
+    assert mapped == 23714  # the Catalan numbers C_0 .. C_10
 
 
 def test_the_references_sit_only_on_the_refusal_path(monkeypatch):

@@ -39,6 +39,10 @@ _CASES = {
         lambda: grid.decompose(()),
         (InvalidInputError, "cannot decompose the empty permutation"),
     ),
+    "decomposition-lines-empty": (
+        lambda: grid.decomposition_lines(()),
+        (InvalidInputError, "cannot decompose the empty permutation"),
+    ),
     "active-cells-empty": (
         lambda: grid.active_cells(()),
         (InvalidInputError, "the empty permutation has no cells"),

@@ -11,6 +11,7 @@ from patternsort.grid import (
     active_cells,
     children,
     decompose,
+    decomposition_lines,
     generate_sortable,
     insert_cons,
     insert_min,
@@ -126,6 +127,12 @@ def test_decompose_matches_the_reference():
         assert d == ref, p
         assert list(d.cells) == list(ref.cells), p  # first appearance
         assert d.describe() == _describe_reference(ref), p
+        # the one-pass text of the decompose verb, which builds no decomposition
+        assert decomposition_lines(p) == [
+            "minima: " + " ".join(map(str, ref.minima_values)),
+            "core: " + (" ".join(map(str, ref.core)) or "(empty)"),
+            *_describe_reference(ref),
+        ], p
         # describe reads cells in (row, column) order, whatever the dict's order
         shuffled = d._replace(cells=dict(reversed(d.cells.items())))
         assert shuffled.describe() == _describe_reference(ref), p

@@ -5,7 +5,7 @@ from itertools import permutations
 from math import inf
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from patternsort import machine
 from patternsort.errors import InvalidInputError, ResourceLimitError
@@ -205,10 +205,20 @@ def test_trace_dicts_match_the_generic_snapshots(sigma):
             ], p
 
 
+def _adversarial_132(t):
+    """2t ... t+1, then 2t+1, t, 2t+2, t-1, ..., 3t, 1: a decreasing run,
+    then new maxima and new minima in turn.  Under 132 each new maximum
+    lands on a smaller top, ever farther above its largest smaller value,
+    and each new minimum pops it and lands under a larger top."""
+    turns = (v for i in range(t) for v in (2 * t + 1 + i, t - i))
+    return (*range(2 * t, t, -1), *turns)
+
+
 @settings(max_examples=200)
 @given(
     st.integers(1, 40).flatmap(lambda n: st.permutations(list(range(1, n + 1))))
 )
+@example(list(_adversarial_132(13)))
 def test_fast_matches_generic(lst):
     p = tuple(lst)
     # traces are replayed from the output, so every control's must match
@@ -279,7 +289,8 @@ def _farthest_scan(pi, sigma):
 
 def _short_and_long_inputs():
     """All of S_<=8, 300 seeded permutations up to length 300, the identity
-    of length 300, its reverse, and 1 ... 150 300 ... 151."""
+    of length 300, its reverse, 1 ... 150 300 ... 151, and the adversarial
+    132 input of length 300."""
     for n in range(9):
         yield from permutations(range(1, n + 1))
     rng = random.Random(123321)
@@ -287,7 +298,7 @@ def _short_and_long_inputs():
         n = rng.randint(1, 300)
         yield tuple(rng.sample(range(1, n + 1), n))
     ident = tuple(range(1, 301))
-    yield from (ident, ident[::-1], ident[:150] + ident[:149:-1])
+    yield from (ident, ident[::-1], ident[:150] + ident[:149:-1], _adversarial_132(100))
 
 
 def _check_against_scan(sigma, scan):
